@@ -1,11 +1,23 @@
 """Array kernels for bulk simulation.
 
 The object model in flowtable/protocol is the readable reference
-implementation; these kernels run the same algorithms over packed uint64
+implementation; these kernels compute the same results over packed uint64
 arrays so large configurations (hundreds of switches, millions of packets)
-finish in seconds. Each kernel has a pure-Python twin with identical
-branch-level semantics; equivalence tests pin the two together, and the
-twins double as a fallback when numba is unavailable.
+finish in seconds.
+
+Ingest is the one sequential kernel: each packet's replacement decision
+depends on the table the previous packets left. It is jitted when numba is
+installed and otherwise runs as a pure-Python twin with identical branches;
+tests pin the two together.
+
+The merge rounds are computed in closed form with numpy. Aggregation
+writes each id's network-wide total into every Sum slot holding it.
+Consolidation ends with the same G-TopK on every switch whatever the
+delivery order, so it is computed once: the distinct (id, count) pairs are
+placed in descending (count, id) order, where no walk ever evicts or swaps
+and each pair lands in the first empty slot on its probe path. Differential
+tests pin these functions against the object model's message-by-message
+cycle.
 
 Array layout: ids[d, s] and counts[d, s] per table, uint64 throughout.
 A switch population is ids[n, d, s]. Empty slot is id 0, count 0.
@@ -22,7 +34,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra; ingest then runs py_ingest
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -96,98 +108,7 @@ def nb_ingest(ids, counts, seeds, mask, packets, rng_state):
     return rng_state, recircs
 
 
-@njit(cache=True)
-def _walk(g_ids, g_counts, pid, pcount, seeds, mask):
-    d = g_ids.shape[0]
-    for i in range(d):
-        j = _hash_slot(pid, seeds[i], mask)
-        scount = g_counts[i, j]
-        if pcount > scount:
-            g_counts[i, j] = pcount
-            sid = g_ids[i, j]
-            g_ids[i, j] = pid
-            if sid == U64(0):
-                return
-            pid = sid
-            pcount = scount
-        elif pcount == scount:
-            sid = g_ids[i, j]
-            if sid == pid:
-                return
-            if pid > sid:
-                g_ids[i, j] = pid
-                pid = sid
-
-
-@njit(cache=True)
-def nb_aggregate(snap_ids, snap_counts, sum_counts, seeds, mask):
-    """All-to-all aggregation round; returns delivered message count."""
-    n = snap_ids.shape[0]
-    d = snap_ids.shape[1]
-    s = snap_ids.shape[2]
-    deliveries = 0
-    for r in range(n):
-        for t in range(n):
-            if t == r:
-                continue
-            for i in range(d):
-                for jj in range(s):
-                    fid = snap_ids[t, i, jj]
-                    if fid == U64(0):
-                        continue
-                    deliveries += 1
-                    cnt = snap_counts[t, i, jj]
-                    for vi in range(d):
-                        j2 = _hash_slot(fid, seeds[vi], mask)
-                        if snap_ids[r, vi, j2] == fid:
-                            sum_counts[r, vi, j2] += cnt
-                            break
-    return deliveries
-
-
-@njit(cache=True)
-def nb_consolidate(sum_ids, sum_counts, g_ids, g_counts, seeds, mask):
-    """All-to-all consolidation round (own entries first); returns deliveries."""
-    n = sum_ids.shape[0]
-    d = sum_ids.shape[1]
-    s = sum_ids.shape[2]
-    deliveries = 0
-    for r in range(n):
-        for i in range(d):
-            for jj in range(s):
-                fid = sum_ids[r, i, jj]
-                if fid != U64(0):
-                    _walk(g_ids[r], g_counts[r], fid, sum_counts[r, i, jj], seeds, mask)
-        for t in range(n):
-            if t == r:
-                continue
-            for i in range(d):
-                for jj in range(s):
-                    fid = sum_ids[t, i, jj]
-                    if fid == U64(0):
-                        continue
-                    deliveries += 1
-                    _walk(g_ids[r], g_counts[r], fid, sum_counts[t, i, jj], seeds, mask)
-    return deliveries
-
-
-@njit(cache=True)
-def nb_replay(src_ids, src_counts, dst_ids, dst_counts, seeds, mask):
-    """Walk every entry of one table into another; returns entries walked."""
-    d = src_ids.shape[0]
-    s = src_ids.shape[1]
-    walked = 0
-    for i in range(d):
-        for jj in range(s):
-            fid = src_ids[i, jj]
-            if fid == U64(0):
-                continue
-            walked += 1
-            _walk(dst_ids, dst_counts, fid, src_counts[i, jj], seeds, mask)
-    return walked
-
-
-# Pure-Python twins. Same arrays, same branches, no jit.
+# Pure-Python twin of nb_ingest. Same arrays, same branches, no jit.
 
 
 def _py_hash_slot(fid: int, seed: int, mask: int) -> int:
@@ -243,102 +164,7 @@ def py_ingest(ids, counts, seeds, mask, packets, rng_state):
     return U64(state), recircs
 
 
-def _py_walk(g_ids, g_counts, pid: int, pcount: int, seeds_l, mask: int) -> None:
-    d = g_ids.shape[0]
-    for i in range(d):
-        j = _py_hash_slot(pid, seeds_l[i], mask)
-        scount = int(g_counts[i, j])
-        if pcount > scount:
-            g_counts[i, j] = pcount
-            sid = int(g_ids[i, j])
-            g_ids[i, j] = pid
-            if sid == 0:
-                return
-            pid = sid
-            pcount = scount
-        elif pcount == scount:
-            sid = int(g_ids[i, j])
-            if sid == pid:
-                return
-            if pid > sid:
-                g_ids[i, j] = pid
-                pid = sid
-
-
-def py_aggregate(snap_ids, snap_counts, sum_counts, seeds, mask):
-    n, d, s = snap_ids.shape
-    mask = int(mask)
-    seeds_l = [int(x) for x in seeds]
-    deliveries = 0
-    for r in range(n):
-        for t in range(n):
-            if t == r:
-                continue
-            for i in range(d):
-                for jj in range(s):
-                    fid = int(snap_ids[t, i, jj])
-                    if fid == 0:
-                        continue
-                    deliveries += 1
-                    cnt = int(snap_counts[t, i, jj])
-                    for vi in range(d):
-                        j2 = _py_hash_slot(fid, seeds_l[vi], mask)
-                        if int(snap_ids[r, vi, j2]) == fid:
-                            sum_counts[r, vi, j2] = int(sum_counts[r, vi, j2]) + cnt
-                            break
-    return deliveries
-
-
-def py_consolidate(sum_ids, sum_counts, g_ids, g_counts, seeds, mask):
-    n, d, s = sum_ids.shape
-    mask = int(mask)
-    seeds_l = [int(x) for x in seeds]
-    deliveries = 0
-    for r in range(n):
-        for i in range(d):
-            for jj in range(s):
-                fid = int(sum_ids[r, i, jj])
-                if fid != 0:
-                    _py_walk(g_ids[r], g_counts[r], fid, int(sum_counts[r, i, jj]), seeds_l, mask)
-        for t in range(n):
-            if t == r:
-                continue
-            for i in range(d):
-                for jj in range(s):
-                    fid = int(sum_ids[t, i, jj])
-                    if fid == 0:
-                        continue
-                    deliveries += 1
-                    _py_walk(g_ids[r], g_counts[r], fid, int(sum_counts[t, i, jj]), seeds_l, mask)
-    return deliveries
-
-
-def py_replay(src_ids, src_counts, dst_ids, dst_counts, seeds, mask):
-    d, s = src_ids.shape
-    mask = int(mask)
-    seeds_l = [int(x) for x in seeds]
-    walked = 0
-    for i in range(d):
-        for jj in range(s):
-            fid = int(src_ids[i, jj])
-            if fid == 0:
-                continue
-            walked += 1
-            _py_walk(dst_ids, dst_counts, fid, int(src_counts[i, jj]), seeds_l, mask)
-    return walked
-
-
-# Dispatch names used by the bulk engine.
-if HAVE_NUMBA:
-    _ingest_impl = nb_ingest
-    aggregate_arrays = nb_aggregate
-    consolidate_arrays = nb_consolidate
-    replay_arrays = nb_replay
-else:  # pragma: no cover
-    _ingest_impl = py_ingest
-    aggregate_arrays = py_aggregate
-    consolidate_arrays = py_consolidate
-    replay_arrays = py_replay
+_ingest_impl = nb_ingest if HAVE_NUMBA else py_ingest
 
 
 def ingest_arrays(ids, counts, seeds, mask, packets, rng_state):
@@ -362,3 +188,54 @@ def vector_hash_indices(ids: np.ndarray, seed: int, mask: int) -> np.ndarray:
     x = (x * np.uint64(0xC2B2AE35)) & np.uint64(0xFFFFFFFF)
     x ^= x >> np.uint64(16)
     return (x & np.uint64(mask)).astype(np.int64)
+
+
+def _place(ids: np.ndarray, counts: np.ndarray, seeds, mask, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, s) table that walking the occupied (id, count) pairs into an
+    empty COUNT_FIRST table produces, whatever order they are walked in."""
+    d = len(seeds)
+    occupied = ids != 0
+    ids, counts = ids[occupied], counts[occupied]
+    order = np.lexsort((ids, counts))[::-1]  # descending by (count, id)
+    ids, counts = ids[order], counts[order]
+    distinct = np.ones(len(ids), dtype=bool)
+    distinct[1:] = (ids[1:] != ids[:-1]) | (counts[1:] != counts[:-1])
+    ids, counts = ids[distinct], counts[distinct]
+    out_ids = np.zeros((d, s), dtype=np.uint64)
+    out_counts = np.zeros((d, s), dtype=np.uint64)
+    for i in range(d):
+        slots = vector_hash_indices(ids, int(seeds[i]), int(mask))
+        _, first = np.unique(slots, return_index=True)
+        out_ids[i, slots[first]] = ids[first]
+        out_counts[i, slots[first]] = counts[first]
+        missed = np.ones(len(ids), dtype=bool)
+        missed[first] = False
+        ids, counts = ids[missed], counts[missed]
+    return out_ids, out_counts
+
+
+def aggregate_arrays(snap_ids, snap_counts, sum_counts, seeds, mask) -> int:
+    """All-to-all aggregation round; returns delivered message count.
+
+    Every occupied Sum slot receives its id's total over all n snapshots.
+    """
+    n = snap_ids.shape[0]
+    occupied = snap_ids != 0
+    uniq, inverse = np.unique(snap_ids[occupied], return_inverse=True)
+    totals = np.zeros(len(uniq), dtype=np.uint64)
+    np.add.at(totals, inverse, snap_counts[occupied])
+    sum_counts[occupied] = totals[inverse]
+    return (n - 1) * int(occupied.sum())
+
+
+def consolidate_arrays(sum_ids, sum_counts, g_ids, g_counts, seeds, mask) -> int:
+    """All-to-all consolidation round into empty G-TopK tables; returns deliveries."""
+    n, _, s = sum_ids.shape
+    g_ids[:], g_counts[:] = _place(sum_ids, sum_counts, seeds, mask, s)
+    return (n - 1) * int(np.count_nonzero(sum_ids))
+
+
+def replay_arrays(src_ids, src_counts, dst_ids, dst_counts, seeds, mask) -> int:
+    """Walk every entry of one table into an empty one; returns entries walked."""
+    dst_ids[:], dst_counts[:] = _place(src_ids, src_counts, seeds, mask, src_ids.shape[1])
+    return int(np.count_nonzero(src_ids))

@@ -5,9 +5,14 @@ engines, and metric computation into seeded, reproducible experiments
 that emit CSV rows (one per seed plus an AVG row).
 
 Two interchangeable engines exist: the object model with a simulated
-transport (required for loss and delivery-order studies) and the array
-kernels (lossless only, fast enough for hundreds of switches and millions
-of packets). Both produce identical tables for identical configs.
+transport (required for loss and delivery-order studies) and the bulk
+array engine (lossless only; ingest runs packet by packet, the merge is
+computed in closed form with numpy, fast enough for hundreds of switches
+and millions of packets). Both produce identical tables and message counts
+for identical configs.
+
+A recorded trace (--trace) is read once per experiment and shared by
+every seed.
 """
 
 from __future__ import annotations
@@ -232,8 +237,10 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
     )
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
-    trace = load_trace(config, seed)
+def run_seed(config: ExperimentConfig, seed: int, trace: Trace | None = None) -> SeedResult:
+    """Simulate one seed; trace, when given, replaces the one the config names."""
+    if trace is None:
+        trace = load_trace(config, seed)
     truth = exact_topk(trace, config.k)
     plan = SplitPlan(
         k=config.k, n_switches=config.n_switches, affinity=config.affinity, seed=derive_seed(seed, 11)
@@ -244,12 +251,13 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every seed and collect per-seed plus averaged metrics."""
-    rows = [run_seed(config, seed) for seed in config.seeds]
     if config.trace_path is not None:
         trace = read_trace(config.trace_path)
         num_packets, num_flows = len(trace.packets), trace.num_flows
     else:
+        trace = None
         num_packets, num_flows = config.num_packets, config.num_flows
+    rows = [run_seed(config, seed, trace) for seed in config.seeds]
     return ExperimentReport(config=config, rows=rows, num_packets=num_packets, num_flows=num_flows)
 
 

@@ -31,6 +31,7 @@ from .protocol import (
     check_cycle_invariants,
     consolidate_into,
     run_cycle,
+    run_cycle_arrays,
     _slot_reader,
 )
 from .transport import Network, NetworkConfig
@@ -64,14 +65,6 @@ def partition(n: int, c: int, seed: int) -> ClusterPlan:
             assignment[s] = cid
         reps.append(min(chunk))
     return ClusterPlan(c=c, assignment=assignment, representatives=tuple(reps))
-
-
-def plan_to_csv(plan: ClusterPlan) -> str:
-    lines = ["switch_id,cluster_id,is_representative"]
-    reps = set(plan.representatives)
-    for sid in sorted(plan.assignment):
-        lines.append(f"{sid},{plan.assignment[sid]},{int(sid in reps)}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -226,38 +219,25 @@ def run_clustered_arrays(
     l_ids: np.ndarray, l_counts: np.ndarray, seeds: np.ndarray, mask, plan: ClusterPlan
 ) -> ClusteredArrayResult:
     """Lossless clustered run over an (n, d, s) population."""
-    n, d, s = l_ids.shape
     g_ids = np.zeros_like(l_ids)
     g_counts = np.zeros_like(l_counts)
     p1 = 0
     for cid in range(plan.c):
-        members = plan.members(cid)
-        idx = np.array(members, dtype=np.int64)
-        snap_ids = l_ids[idx].copy()
-        snap_counts = l_counts[idx].copy()
-        sum_counts = snap_counts.copy()
-        p1 += int(_kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts, seeds, mask))
-        sub_g_ids = np.zeros_like(snap_ids)
-        sub_g_counts = np.zeros_like(snap_counts)
-        p1 += int(
-            _kernels.consolidate_arrays(snap_ids, sum_counts, sub_g_ids, sub_g_counts, seeds, mask)
-        )
-        if not ((sub_g_ids == sub_g_ids[0]).all() and (sub_g_counts == sub_g_counts[0]).all()):
+        idx = np.array(plan.members(cid), dtype=np.int64)
+        res = run_cycle_arrays(l_ids[idx], l_counts[idx], seeds, mask)
+        if not ((res.g_ids == res.g_ids[0]).all() and (res.g_counts == res.g_counts[0]).all()):
             raise InvariantError(f"cluster {cid} members diverged in phase 1")
-        g_ids[idx] = sub_g_ids
-        g_counts[idx] = sub_g_counts
+        p1 += res.delivered
+        g_ids[idx] = res.g_ids
+        g_counts[idx] = res.g_counts
 
     reps = sorted(plan.representatives)
     ridx = np.array(reps, dtype=np.int64)
-    snap_ids = g_ids[ridx].copy()
-    snap_counts = g_counts[ridx].copy()
-    sum_counts = snap_counts.copy()
-    p2 = int(_kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts, seeds, mask))
-    rep_g_ids = np.zeros_like(snap_ids)
-    rep_g_counts = np.zeros_like(snap_counts)
-    p2 += int(_kernels.consolidate_arrays(snap_ids, sum_counts, rep_g_ids, rep_g_counts, seeds, mask))
+    res = run_cycle_arrays(g_ids[ridx], g_counts[ridx], seeds, mask)
+    rep_g_ids, rep_g_counts = res.g_ids, res.g_counts
     if not ((rep_g_ids == rep_g_ids[0]).all() and (rep_g_counts == rep_g_counts[0]).all()):
         raise InvariantError("representatives diverged in phase 2")
+    p2 = res.delivered
 
     query_ids = np.zeros_like(l_ids)
     query_counts = np.zeros_like(l_counts)

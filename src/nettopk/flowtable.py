@@ -196,12 +196,6 @@ class MultiVectorTable:
                 if ids_i[j] != EMPTY_ID:
                     yield FlowEntry(ids_i[j], counts_i[j])
 
-    def entry_multiset(self) -> dict[FlowEntry, int]:
-        out: dict[FlowEntry, int] = {}
-        for e in self.entries():
-            out[e] = out.get(e, 0) + 1
-        return out
-
     def occupancy(self) -> int:
         return sum(1 for _ in self.entries())
 

@@ -17,13 +17,15 @@ verifies that agreement, the per-vector ordering, duplicate freedom, and
 sum consistency after every simulated cycle.
 
 run_cycle drives the object model through a simulated transport (any
-delivery order, optional loss). run_cycle_arrays is the array-kernel
-equivalent for large configurations; both produce identical tables.
+delivery order, optional loss), message by message. run_cycle_arrays is the
+lossless bulk equivalent for large configurations: it relies on that order
+independence to compute G-TopK once in closed form and copy it to every
+switch. Differential tests pin the two to identical tables and delivery
+counts.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -42,8 +44,6 @@ from .flowtable import (
     table_entries,
 )
 from .precision import LocalTopKState
-
-_WIRE = struct.Struct("<BHIQ")
 
 
 class RoundPhase(Enum):
@@ -72,17 +72,6 @@ class ProtocolMessage:
     round: Round
     sender: int
     entry: FlowEntry
-
-    def pack(self) -> bytes:
-        return _WIRE.pack(int(self.round), self.sender, self.entry.id, self.entry.count)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "ProtocolMessage":
-        rnd, sender, fid, count = _WIRE.unpack(data)
-        return cls(Round(rnd), sender, FlowEntry(fid, count))
-
-
-WIRE_SIZE = _WIRE.size
 
 
 def consolidate_into(

@@ -16,6 +16,7 @@ mirroring the consolidation tie rule.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,22 +57,28 @@ def exact_topk(trace: Trace, k: int) -> list[FlowEntry]:
     """Exact top-k flows by full tally; ties broken by larger flow ID."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = np.bincount(trace.packets)
-    ids = np.nonzero(counts)[0]
-    tallies = counts[ids]
+    ids, tallies = np.unique(trace.packets, return_counts=True)
     order = np.lexsort((-ids.astype(np.int64), -tallies.astype(np.int64)))
     top = order[:k]
     return [FlowEntry(int(ids[i]), int(tallies[i])) for i in top]
 
 
 def _home_switches(ids: np.ndarray, seed: int, n: int) -> np.ndarray:
-    x = (ids.astype(np.uint64) ^ np.uint64(seed & 0xFFFFFFFF)) & np.uint64(0xFFFFFFFF)
+    # in place: a trace-length uint64 temporary per step would set the
+    # process's peak memory
+    m32 = np.uint64(0xFFFFFFFF)
+    x = ids.astype(np.uint64)
+    x ^= np.uint64(seed & 0xFFFFFFFF)
+    x &= m32
     x ^= x >> np.uint64(16)
-    x = (x * np.uint64(0x85EBCA6B)) & np.uint64(0xFFFFFFFF)
+    x *= np.uint64(0x85EBCA6B)
+    x &= m32
     x ^= x >> np.uint64(13)
-    x = (x * np.uint64(0xC2B2AE35)) & np.uint64(0xFFFFFFFF)
+    x *= np.uint64(0xC2B2AE35)
+    x &= m32
     x ^= x >> np.uint64(16)
-    return (x % np.uint64(n)).astype(np.int64)
+    x %= np.uint64(n)
+    return x.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,16 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     m = int(rest.sum())
     homes = _home_switches(packets[rest], derive_seed(plan.seed, 1), n)
     stay = rng.random(m) < plan.affinity
-    hop = rng.integers(0, n - 1, m)
-    away = (homes + 1 + hop) % n
-    switch[rest] = np.where(stay, homes, away)
+    # a packet that leaves home hops to one of the other n-1 switches; built
+    # in place and freed before the per-switch split, because these
+    # trace-length arrays set the process's peak memory
+    dest = rng.integers(0, n - 1, m)
+    dest += homes
+    dest += 1
+    dest %= n
+    np.copyto(dest, homes, where=stay)
+    switch[rest] = dest
+    del homes, stay, dest
     return [packets[switch == i] for i in range(n)]
 
 
@@ -132,6 +146,12 @@ def read_trace(path: str) -> Trace:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != TRACE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if 4 * num_packets > held:
+            raise ValueError(
+                f"{path}: truncated packet data (header claims {num_packets} packets, "
+                f"file holds {held // 4})"
+            )
         payload = fh.read(4 * num_packets)
         if len(payload) != 4 * num_packets:
             raise ValueError(f"{path}: truncated packet data")

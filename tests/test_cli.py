@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nettopk import cli
 from nettopk.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -14,7 +15,7 @@ from nettopk.cli import (
 )
 from nettopk.flowtable import FlowEntry
 from nettopk.transport import DeliveryOrder
-from nettopk.workload import gen_zipf, write_trace
+from nettopk.workload import gen_zipf, read_trace, write_trace
 
 ZIPF_SMALL = dict(zipf_a=1.0, num_packets=5000, num_flows=300)
 
@@ -142,14 +143,17 @@ def test_csv_report_shape_and_determinism():
     assert 0.0 <= rep1.avg_recall <= 1.0
 
 
-def test_trace_path_config(tmp_path):
+def test_trace_path_config(tmp_path, monkeypatch):
     tr = gen_zipf(1.0, 4000, 200, seed=8)
     path = str(tmp_path / "in.ntrc")
     write_trace(tr, path)
     cfg = ExperimentConfig(
         n_switches=3, d=2, s=64, k=16, seeds=(1, 2), trace_path=path
     )
+    reads = []
+    monkeypatch.setattr(cli, "read_trace", lambda p: reads.append(p) or read_trace(p))
     rep = run_experiment(cfg)
+    assert reads == [path]  # one read shared by every seed
     assert rep.num_packets == 4000
     assert rep.num_flows == 200
     # identical trace for every seed, but split and tables still vary by seed

@@ -5,11 +5,9 @@ import pytest
 
 from helpers import full_table, ingested_switches, switch_from_arrays, table_to_arrays
 from nettopk.cluster import (
-    ClusterPlan,
     clustered_message_count,
     flat_message_count,
     partition,
-    plan_to_csv,
     run_clustered,
     run_clustered_arrays,
 )
@@ -48,13 +46,6 @@ def test_partition_edge_shapes():
     assert partition(4, 1, seed=1).members(0) == [0, 1, 2, 3]
     singletons = partition(4, 4, seed=1)
     assert sorted(singletons.representatives) == [0, 1, 2, 3]
-
-
-def test_plan_to_csv():
-    plan = ClusterPlan(c=2, assignment={0: 0, 1: 1, 2: 0}, representatives=(0, 1))
-    assert plan_to_csv(plan) == (
-        "switch_id,cluster_id,is_representative\n0,0,1\n1,1,1\n2,0,0\n"
-    )
 
 
 def test_message_count_forms():

@@ -90,13 +90,6 @@ def test_entries_vector_major_order():
     assert t.occupancy() == 3
 
 
-def test_entry_multiset_counts_duplicates():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
-    t.set_entry(0, 0, FlowEntry(5, 50))
-    t.set_entry(1, 0, FlowEntry(5, 50))
-    assert t.entry_multiset() == {FlowEntry(5, 50): 2}
-
-
 def test_reset_clears_everything():
     t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
     t.set_entry(0, 1, FlowEntry(3, 30))

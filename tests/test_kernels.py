@@ -1,11 +1,23 @@
-"""Jitted kernels against their pure-Python twins and the object model."""
+"""Array kernels against the ingest twin and the object model.
+
+The bulk engine computes G-TopK once and copies it to every switch, so
+agreement between its switches holds by construction. The differential
+tests here are what tie it to the protocol: they run the object model
+message by message, under random delivery order and loss, on the same
+local tables and require identical tables and delivery counts.
+"""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ingested_switches, table_to_arrays
 from nettopk import _kernels
+from nettopk.cluster import partition, run_clustered, run_clustered_arrays
 from nettopk.flowtable import TableConfig, hash_index
-from nettopk.precision import LocalTopKState, ingest, splitmix64
+from nettopk.precision import LocalTopKState, derive_seed, ingest, splitmix64
+from nettopk.protocol import run_cycle, run_cycle_arrays
+from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 from nettopk.workload import gen_zipf
 
 CFG = TableConfig(d=2, s=32, seeds=(3, 99))
@@ -79,46 +91,19 @@ def test_ingest_matches_reference_object_model():
     assert int(rc) == st.recirculations
 
 
-def test_aggregate_twins_bit_identical():
-    snap_ids, snap_counts = ingest_population(4, seed=31)
-    sum_a = snap_counts.copy()
-    sum_b = snap_counts.copy()
-    da = _kernels.nb_aggregate(snap_ids, snap_counts, sum_a, SEEDS, MASK)
-    db = _kernels.py_aggregate(snap_ids, snap_counts, sum_b, SEEDS, MASK)
-    assert int(da) == int(db)
-    assert np.array_equal(sum_a, sum_b)
-
-
-def test_consolidate_twins_bit_identical():
-    snap_ids, snap_counts = ingest_population(4, seed=32)
-    sum_counts = snap_counts.copy()
-    _kernels.nb_aggregate(snap_ids, snap_counts, sum_counts, SEEDS, MASK)
-    ga_ids, ga_counts = fresh_tables(4)
-    gb_ids, gb_counts = fresh_tables(4)
-    da = _kernels.nb_consolidate(snap_ids, sum_counts, ga_ids, ga_counts, SEEDS, MASK)
-    db = _kernels.py_consolidate(snap_ids, sum_counts, gb_ids, gb_counts, SEEDS, MASK)
-    assert int(da) == int(db)
-    assert np.array_equal(ga_ids, gb_ids)
-    assert np.array_equal(ga_counts, gb_counts)
-
-
-def test_replay_twins_and_reproduction():
+def test_replay_reproduces_consolidated_table():
     snap_ids, snap_counts = ingest_population(3, seed=33)
     sum_counts = snap_counts.copy()
-    _kernels.nb_aggregate(snap_ids, snap_counts, sum_counts, SEEDS, MASK)
+    _kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts, SEEDS, MASK)
     g_ids, g_counts = fresh_tables(3)
-    _kernels.nb_consolidate(snap_ids, sum_counts, g_ids, g_counts, SEEDS, MASK)
+    _kernels.consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, SEEDS, MASK)
 
-    ra_ids, ra_counts = fresh_tables(1)
-    rb_ids, rb_counts = fresh_tables(1)
-    wa = _kernels.nb_replay(g_ids[0], g_counts[0], ra_ids[0], ra_counts[0], SEEDS, MASK)
-    wb = _kernels.py_replay(g_ids[0], g_counts[0], rb_ids[0], rb_counts[0], SEEDS, MASK)
-    assert int(wa) == int(wb)
-    assert np.array_equal(ra_ids[0], rb_ids[0])
+    r_ids, r_counts = fresh_tables(1)
+    walked = _kernels.replay_arrays(g_ids[0], g_counts[0], r_ids[0], r_counts[0], SEEDS, MASK)
     # a consolidated table replayed into an empty one reproduces itself
-    assert np.array_equal(ra_ids[0], g_ids[0])
-    assert np.array_equal(ra_counts[0], g_counts[0])
-    assert int(wa) == int(np.count_nonzero(g_ids[0]))
+    assert np.array_equal(r_ids[0], g_ids[0])
+    assert np.array_equal(r_counts[0], g_counts[0])
+    assert walked == int(np.count_nonzero(g_ids[0]))
 
 
 def test_vector_hash_indices_matches_scalar():
@@ -126,3 +111,67 @@ def test_vector_hash_indices_matches_scalar():
     out = _kernels.vector_hash_indices(ids, int(SEEDS[0]), int(MASK))
     for fid, j in zip(ids, out):
         assert int(j) == hash_index(CFG, 0, int(fid))
+
+
+# Differential tests: bulk engine against the object model.
+
+POPULATIONS = dict(
+    d=st.integers(1, 4),
+    n=st.integers(1, 6),
+    s=st.sampled_from([16, 32, 64]),
+    flows=st.integers(4, 300),
+    drop=st.sampled_from([0.0, 0.3]),
+    order=st.sampled_from(list(DeliveryOrder)),
+    seed=st.integers(0, 2**16),
+)
+
+
+def population(d, n, s, flows, seed):
+    """n ingested switches plus the hash seeds and mask of their tables."""
+    config = TableConfig(d=d, s=s, seeds=tuple(derive_seed(seed, i) & 0xFFFFFFFF for i in range(d)))
+    switches = ingested_switches(n, config, stream_seed=seed, packets_per_switch=400, flows=flows)
+    return switches, np.array(config.seeds, dtype=np.uint64), np.uint64(s - 1)
+
+
+def stacked(tables):
+    ids, counts = zip(*(table_to_arrays(t) for t in tables))
+    return np.stack(ids), np.stack(counts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**POPULATIONS)
+def test_cycle_arrays_match_object_model(d, n, s, flows, drop, order, seed):
+    switches, seeds, mask = population(d, n, s, flows, seed)
+    l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
+    net = Network(NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed))
+    stats = run_cycle(switches, net)
+    res = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+
+    snap_ids, snap_counts = stacked([sw.snapshot for sw in switches])
+    sum_ids, sum_counts = stacked([sw.sum for sw in switches])
+    g_ids, g_counts = stacked([sw.g_topk for sw in switches])
+    assert np.array_equal(snap_ids, res.snap_ids)
+    assert np.array_equal(snap_counts, res.snap_counts)
+    assert np.array_equal(sum_ids, res.snap_ids)
+    assert np.array_equal(sum_counts, res.sum_counts)
+    assert np.array_equal(g_ids, res.g_ids)
+    assert np.array_equal(g_counts, res.g_counts)
+    assert stats.delivered == res.delivered
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.integers(1, 6), **POPULATIONS)
+def test_clustered_arrays_match_object_model(c, d, n, s, flows, drop, order, seed):
+    switches, seeds, mask = population(d, n, s, flows, seed)
+    plan = partition(n, min(c, n), seed)
+    l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
+    stats = run_clustered(
+        switches, plan, NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed)
+    )
+    res = run_clustered_arrays(l_ids, l_counts, seeds, mask, plan)
+
+    q_ids, q_counts = stacked([sw.query for sw in switches])
+    assert np.array_equal(q_ids, res.query_ids)
+    assert np.array_equal(q_counts, res.query_counts)
+    phases = (stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered)
+    assert phases == res.phase_delivered

@@ -1,4 +1,4 @@
-"""Round state machine, merge semantics, wire format, and invariant checkers."""
+"""Round state machine, merge semantics, and invariant checkers."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from nettopk.flowtable import (
 )
 from nettopk.precision import process_packet
 from nettopk.protocol import (
-    WIRE_SIZE,
     InvariantError,
     PhaseError,
     ProtocolMessage,
@@ -47,31 +46,6 @@ def fresh_gtopk(config=CFG):
 
 def place(table, vector, fid, count):
     table.set_entry(vector, hash_index(table.config, vector, fid), FlowEntry(fid, count))
-
-
-# wire format
-
-
-def test_wire_golden_bytes():
-    msg = ProtocolMessage(Round.CONS, 7, FlowEntry(0xDEADBEEF, 1234567890123))
-    assert msg.pack().hex() == "010700efbeaddecb04fb711f010000"
-    assert WIRE_SIZE == 15
-    assert ProtocolMessage.unpack(msg.pack()) == msg
-
-
-def test_wire_roundtrip_extremes():
-    import random
-
-    rng = random.Random(1)
-    for _ in range(200):
-        msg = ProtocolMessage(
-            Round(rng.randrange(2)),
-            rng.randrange(2**16),
-            FlowEntry(rng.randrange(1, 2**32), rng.randrange(2**64)),
-        )
-        assert ProtocolMessage.unpack(msg.pack()) == msg
-    top = ProtocolMessage(Round.AGG, 2**16 - 1, FlowEntry(2**32 - 1, 2**64 - 1))
-    assert ProtocolMessage.unpack(top.pack()) == top
 
 
 # consolidation walk branches

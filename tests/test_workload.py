@@ -73,6 +73,13 @@ def test_exact_topk_truncates_to_distinct_flows():
         exact_topk(tr, 0)
 
 
+def test_exact_topk_sparse_ids():
+    # a tally indexed by raw id would need 2**32 counters here
+    packets = np.array([0xFFFFFFFF, 5, 0xFFFFFFFF], dtype=np.uint32)
+    tr = Trace(packets=packets, num_flows=2)
+    assert exact_topk(tr, 2) == [FlowEntry(0xFFFFFFFF, 2), FlowEntry(5, 1)]
+
+
 def test_split_single_switch():
     tr = gen_zipf(1.0, 1000, 50, seed=2)
     streams = split_stream(tr, SplitPlan(k=8, n_switches=1, affinity=1.0, seed=3))
@@ -198,6 +205,13 @@ def test_trace_file_errors(tmp_path):
     truncated.write_bytes(good[:-4])  # claims 2 packets, holds 1
     with pytest.raises(ValueError, match="truncated"):
         read_trace(str(truncated))
+
+    # a header claiming 2**40 packets must fail before anything that size is read
+    oversized = tmp_path / "o.ntrc"
+    oversized.write_bytes(struct.pack("<4sBIQ", TRACE_MAGIC, 1, 3, 2**40) + good[17:])
+    with pytest.raises(ValueError, match="truncated") as exc:
+        read_trace(str(oversized))
+    assert str(oversized) in str(exc.value)
 
     zero_id = tmp_path / "z.ntrc"
     zero_id.write_bytes(good[:-8] + struct.pack("<2I", 0, 2))
