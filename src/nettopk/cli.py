@@ -6,10 +6,10 @@ that emit CSV rows (one per seed plus an AVG row).
 
 Two interchangeable engines exist: the object model with a simulated
 transport (required for loss and delivery-order studies) and the bulk
-array engine (lossless only; ingest runs packet by packet, the merge is
-computed in closed form with numpy, fast enough for hundreds of switches
-and millions of packets). Both produce identical tables and message counts
-for identical configs.
+array engine (lossless only; ingest runs the object model's replacement
+rule packet by packet, the merge is computed in closed form with numpy,
+fast enough for hundreds of switches and millions of packets). Both produce
+identical tables and message counts for identical configs.
 
 A recorded trace (--trace) is read once per experiment and shared by
 every seed.
@@ -77,6 +77,7 @@ class ExperimentConfig:
     engine: str = "auto"  # auto | reference | arrays
 
     def __post_init__(self) -> None:
+        TableConfig(d=self.d, s=self.s, seeds=(0,) * self.d)  # raises on a bad table shape
         if self.k > self.d * self.s:
             raise ValueError("k must fit in the table (k <= d*s)")
         if (self.zipf_a is None) == (self.trace_path is None):
@@ -206,14 +207,13 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         mask = np.uint64(s - 1)
         l_ids = np.zeros((n, d, s), dtype=np.uint64)
         l_counts = np.zeros((n, d, s), dtype=np.uint64)
-        rng_states = [np.uint64(derive_seed(seed, 0x100 + i)) for i in range(n)]
+        rng_states = [derive_seed(seed, 0x100 + i) for i in range(n)]
         for cyc in range(config.cycles):
             for i in range(n):
-                chunk = np.ascontiguousarray(chunks[i][cyc], dtype=np.uint64)
                 rng_states[i], rc = _kernels.ingest_arrays(
-                    l_ids[i], l_counts[i], seeds_arr, mask, chunk, rng_states[i]
+                    l_ids[i], l_counts[i], seeds_arr, mask, chunks[i][cyc], rng_states[i]
                 )
-                recirc += int(rc)
+                recirc += rc
             if plan is None:
                 res = run_cycle_arrays(l_ids, l_counts, seeds_arr, mask)
                 check_invariants_arrays(res, seeds_arr, mask)

@@ -22,16 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy, table_entries
+from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy
 from .protocol import (
     CycleStats,
     InvariantError,
-    Round,
-    RoundPhase,
     check_cycle_invariants,
     consolidate_into,
     run_cycle,
     run_cycle_arrays,
+    run_rounds,
     _slot_reader,
 )
 from .transport import Network, NetworkConfig
@@ -118,10 +117,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
     net2 = make_net(reps, 2000)
     for rep in reps:
         sws[rep].begin_cycle(source=cluster_tables[rep])
-    for rep in reps:
-        reader, count = _slot_reader(sws[rep].snapshot)
-        net2.broadcast(rep, Round.AGG, reader, count)
-    p2 = _drive(sws, reps, net2)
+    p2 = run_rounds([sws[r] for r in reps], net2)
     net2.audit_exactly_once()
     if check:
         check_cycle_invariants([sws[r] for r in reps])
@@ -159,31 +155,6 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
             if not sw.query.equals(ref):
                 raise InvariantError(f"query differs on switch {sw.switch_id} after dissemination")
     return ClusteredStats(p1, p2, p3)
-
-
-def _drive(sws, participants, net) -> CycleStats:
-    # same event loop as run_cycle, but begin_cycle was already called
-    from .protocol import _advance
-
-    subset = {pid: sws[pid] for pid in participants}
-    _advance(subset, net)
-    while True:
-        ev = net.step()
-        if ev is None:
-            break
-        if ev.kind == "deliver":
-            sw = subset[ev.receiver]
-            from .protocol import ProtocolMessage
-
-            msg = ProtocolMessage(Round(ev.round), ev.sender, ev.entry)
-            if msg.round is Round.AGG:
-                sw.handle_aggregation_packet(msg)
-            else:
-                sw.handle_consolidation_packet(msg)
-            _advance(subset, net)
-    for sw in subset.values():
-        assert sw.phase is RoundPhase.IDLE
-    return CycleStats(net.delivered_count, net.dropped_count)
 
 
 # Closed-form lossless message counts.
@@ -239,22 +210,19 @@ def run_clustered_arrays(
         raise InvariantError("representatives diverged in phase 2")
     p2 = res.delivered
 
-    query_ids = np.zeros_like(l_ids)
-    query_counts = np.zeros_like(l_counts)
-    p3 = 0
-    for cid in range(plan.c):
-        rep = plan.representatives[cid]
-        rep_pos = reps.index(rep)
-        for m in plan.members(cid):
-            if m == rep:
-                query_ids[m] = rep_g_ids[rep_pos]
-                query_counts[m] = rep_g_counts[rep_pos]
-                continue
-            p3 += int(
-                _kernels.replay_arrays(
-                    rep_g_ids[rep_pos], rep_g_counts[rep_pos], query_ids[m], query_counts[m], seeds, mask
-                )
-            )
+    # phase 3: every representative holds the same table, so one replay
+    # rebuilds it for every non-representative
+    n = len(l_ids)
+    rebuilt_ids = np.zeros_like(rep_g_ids[0])
+    rebuilt_counts = np.zeros_like(rep_g_counts[0])
+    entries = _kernels.replay_arrays(
+        rep_g_ids[0], rep_g_counts[0], rebuilt_ids, rebuilt_counts, seeds, mask
+    )
+    query_ids = np.tile(rebuilt_ids, (n, 1, 1))
+    query_counts = np.tile(rebuilt_counts, (n, 1, 1))
+    query_ids[ridx] = rep_g_ids
+    query_counts[ridx] = rep_g_counts
+    p3 = entries * (n - plan.c)  # entries times the sum of |members| - 1
     if not ((query_ids == query_ids[0]).all() and (query_counts == query_counts[0]).all()):
         raise InvariantError("query tables diverged after dissemination")
     return ClusteredArrayResult(query_ids, query_counts, p1 + p2 + p3, (p1, p2, p3))

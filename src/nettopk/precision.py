@@ -8,25 +8,15 @@ that slot with (id, MinCount+1). The write itself is modeled as zero-cost,
 but every such second pass is tallied so recirculation load is reportable.
 
 Randomness is an explicit splitmix64 state per switch, so whole-network
-runs are bit-reproducible and the array kernels can replay the identical
-decision sequence.
+runs are bit-reproducible. This is the only implementation of the rule:
+the array engine's ingest_arrays runs it on a switch's array rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flowtable import (
-    EMPTY_ID,
-    AccessLog,
-    Field,
-    FieldOrder,
-    FlowEntry,
-    Mode,
-    MultiVectorTable,
-    TableConfig,
-    hash_index,
-)
+from .flowtable import EMPTY_ID, AccessLog, FieldOrder, MultiVectorTable, TableConfig, hash_index
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -211,12 +211,21 @@ class CycleStats:
 
 def run_cycle(switches, net) -> CycleStats:
     """Drive one full cycle over a transport until every switch is idle."""
+    for sw in switches:
+        sw.begin_cycle()
+    return run_rounds(switches, net)
+
+
+def run_rounds(switches, net) -> CycleStats:
+    """Broadcast the switches' snapshots and deliver both rounds until idle.
+
+    Each switch must already have begun its cycle, from its local table or
+    from an explicit source.
+    """
     sws = {sw.switch_id: sw for sw in switches}
     assert set(sws) == set(net.participants), "transport participants mismatch"
     base_delivered = net.delivered_count
     base_dropped = net.dropped_count
-    for sw in sws.values():
-        sw.begin_cycle()
     for sw in sws.values():
         reader, count = _slot_reader(sw.snapshot)
         net.broadcast(sw.switch_id, Round.AGG, reader, count)

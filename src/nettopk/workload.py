@@ -111,7 +111,8 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     top_ids = np.array([e.id for e in exact_topk(trace, plan.k)], dtype=np.uint32)
     rng = np.random.default_rng(derive_seed(plan.seed, 2))
     top_mask = np.isin(packets, top_ids)
-    switch = np.empty(len(packets), dtype=np.int64)
+    # int32 halves this trace-length array, which is live at the peak
+    switch = np.empty(len(packets), dtype=np.int32)
     switch[top_mask] = rng.integers(0, n, int(top_mask.sum()))
     rest = ~top_mask
     m = int(rest.sum())

@@ -60,6 +60,8 @@ def test_config_validation():
         small_config(engine="gpu")
     with pytest.raises(ValueError):
         small_config(engine="arrays", drop_probability=0.1)
+    with pytest.raises(ValueError):
+        small_config(s=1000)  # s not a power of two
 
 
 def test_run_seed_pinned_result():

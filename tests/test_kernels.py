@@ -1,10 +1,12 @@
-"""Array kernels against the ingest twin and the object model.
+"""Array kernels against the object model.
 
-The bulk engine computes G-TopK once and copies it to every switch, so
-agreement between its switches holds by construction. The differential
-tests here are what tie it to the protocol: they run the object model
-message by message, under random delivery order and loss, on the same
-local tables and require identical tables and delivery counts.
+ingest_arrays runs the object model's ingest on array rows; its test pins
+the hand-back of tables and RNG state between batches. The bulk engine
+computes G-TopK once and copies it to every switch, so agreement between
+its switches holds by construction. The differential tests here are what
+tie it to the protocol: they run the object model message by message,
+under random delivery order and loss, on the same local tables and require
+identical tables and delivery counts.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from helpers import ingested_switches, table_to_arrays
 from nettopk import _kernels
 from nettopk.cluster import partition, run_clustered, run_clustered_arrays
 from nettopk.flowtable import TableConfig, hash_index
-from nettopk.precision import LocalTopKState, derive_seed, ingest, splitmix64
+from nettopk.precision import LocalTopKState, derive_seed, ingest
 from nettopk.protocol import run_cycle, run_cycle_arrays
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 from nettopk.workload import gen_zipf
@@ -35,60 +37,31 @@ def ingest_population(n, seed):
     for i in range(n):
         tr = gen_zipf(1.0, 1200, 90, seed=seed * 100 + i)
         packets = tr.packets.astype(np.uint64)
-        _kernels.ingest_arrays(l_ids[i], l_counts[i], SEEDS, MASK, packets, np.uint64(7 + i))
+        _kernels.ingest_arrays(l_ids[i], l_counts[i], SEEDS, MASK, packets, 7 + i)
     return l_ids, l_counts
 
 
-def test_hash_slot_matches_object_model():
-    for fid in (1, 5, 12345, 2**32 - 1):
-        for i in range(CFG.d):
-            nb = int(_kernels._hash_slot(np.uint64(fid), SEEDS[i], MASK))
-            py = _kernels._py_hash_slot(fid, int(SEEDS[i]), int(MASK))
-            assert nb == py == hash_index(CFG, i, fid)
-
-
-def test_next64_matches_splitmix64():
-    mask = (1 << 64) - 1
-    s_nb = np.uint64(42)
-    s_py = 42
-    s_ref = 42
-    for _ in range(100):
-        out_s, z_nb = _kernels._next64(s_nb)
-        s_py, z_py = _kernels._py_next64(s_py)
-        s_ref, z_ref = splitmix64(s_ref)
-        # numba boxes uint64 results as Python ints; compare modulo 2**64
-        # and re-pin the chained state so typing never drifts
-        assert int(out_s) & mask == s_py == s_ref
-        assert int(z_nb) & mask == z_py == z_ref
-        s_nb = np.uint64(int(out_s) & mask)
-
-
-def test_ingest_twins_bit_identical():
-    tr = gen_zipf(1.0, 3000, 150, seed=21)
-    packets = tr.packets.astype(np.uint64)
-    a_ids, a_counts = fresh_tables(1)
-    b_ids, b_counts = fresh_tables(1)
-    state_a, rc_a = _kernels.nb_ingest(a_ids[0], a_counts[0], SEEDS, MASK, packets, np.uint64(5))
-    state_b, rc_b = _kernels.py_ingest(b_ids[0], b_counts[0], SEEDS, MASK, packets, np.uint64(5))
-    assert int(state_a) == int(state_b)
-    assert int(rc_a) == int(rc_b)
-    assert np.array_equal(a_ids, b_ids)
-    assert np.array_equal(a_counts, b_counts)
-
-
 def test_ingest_matches_reference_object_model():
-    tr = gen_zipf(1.0, 2500, 120, seed=22)
-    st = LocalTopKState.create(CFG, rng_seed=5)
-    ingest(st, tr.packets)
-    ids, counts = fresh_tables(1)
-    state, rc = _kernels.ingest_arrays(
-        ids[0], counts[0], SEEDS, MASK, tr.packets.astype(np.uint64), np.uint64(5)
-    )
-    ref_ids, ref_counts = table_to_arrays(st.table)
-    assert np.array_equal(ids[0], ref_ids)
-    assert np.array_equal(counts[0], ref_counts)
-    assert int(state) == st.rng_state
-    assert int(rc) == st.recirculations
+    packets = gen_zipf(1.0, 2500, 120, seed=22).packets.astype(np.uint64)
+    # two batches, the second continuing from the first's tables and RNG state
+    first, second = packets[:900], packets[900:]
+    # d is looped, not parametrized, so the test keeps its one id
+    for d in (1, 2, 4):
+        config = TableConfig(d=d, s=32, seeds=tuple(derive_seed(22, i) & 0xFFFFFFFF for i in range(d)))
+        seeds = np.array(config.seeds, dtype=np.uint64)
+        st = LocalTopKState.create(config, rng_seed=5)
+        ingest(st, packets)
+
+        ids = np.zeros((d, config.s), dtype=np.uint64)
+        counts = np.zeros((d, config.s), dtype=np.uint64)
+        state, rc = _kernels.ingest_arrays(ids, counts, seeds, MASK, first, 5)
+        state, rc2 = _kernels.ingest_arrays(ids, counts, seeds, MASK, second, state)
+
+        ref_ids, ref_counts = table_to_arrays(st.table)
+        assert np.array_equal(ids, ref_ids), d
+        assert np.array_equal(counts, ref_counts), d
+        assert state == st.rng_state, d
+        assert rc + rc2 == st.recirculations, d
 
 
 def test_replay_reproduces_consolidated_table():
