@@ -24,7 +24,7 @@ from .flowtable import (
     table_entries,
 )
 from .precision import LocalTopKState, local_estimate, process_packet
-from .protocol import ProtocolMessage, Round, RoundPhase, SwitchState, run_cycle
+from .protocol import Round, RoundPhase, SwitchState, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
 from .workload import SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
 
@@ -38,7 +38,6 @@ __all__ = [
     "MultiVectorTable",
     "Network",
     "NetworkConfig",
-    "ProtocolMessage",
     "Round",
     "RoundPhase",
     "SplitPlan",

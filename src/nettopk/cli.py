@@ -165,7 +165,6 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
     seeds = _table_seeds(seed, d)
     chunks = [np.array_split(st, config.cycles) for st in streams]
     plan = partition(n, config.clusters, derive_seed(seed, 12)) if config.clusters > 1 else None
-    messages = 0
     delivered = 0
     dropped = 0
     recirc = 0
@@ -176,30 +175,21 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         for cyc in range(config.cycles):
             for i, sw in enumerate(switches):
                 ingest(sw.l_topk, chunks[i][cyc])
+            net_config = NetworkConfig(
+                n=n,
+                drop_probability=config.drop_probability,
+                delivery_order=config.delivery_order,
+                seed=derive_seed(seed, 0x200 + cyc),
+            )
             if plan is None:
-                net = Network(
-                    NetworkConfig(
-                        n=n,
-                        drop_probability=config.drop_probability,
-                        delivery_order=config.delivery_order,
-                        seed=derive_seed(seed, 0x200 + cyc),
-                    )
-                )
+                net = Network(net_config)
                 stats = run_cycle(switches, net)
                 net.audit_exactly_once()
                 check_cycle_invariants(switches)
-                delivered += stats.delivered
-                dropped += stats.dropped
             else:
-                tmpl = NetworkConfig(
-                    n=n,
-                    drop_probability=config.drop_probability,
-                    delivery_order=config.delivery_order,
-                    seed=derive_seed(seed, 0x200 + cyc),
-                )
-                stats = run_clustered(switches, plan, tmpl)
-                delivered += stats.delivered
-                dropped += stats.dropped
+                stats = run_clustered(switches, plan, net_config)
+            delivered += stats.delivered
+            dropped += stats.dropped
         recirc = sum(sw.l_topk.recirculations for sw in switches)
         reported = [e.id for e in switches[0].query.entries()]
     else:

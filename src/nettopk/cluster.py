@@ -136,12 +136,10 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
             rebuilt = {
                 m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
             }
-            while True:
-                ev = net3.step()
-                if ev is None:
-                    break
-                if ev.kind == "deliver":
-                    consolidate_into(rebuilt[ev.receiver], ev.entry.id, ev.entry.count)
+            while (ev := net3.step()) is not None:
+                delivered, msg = ev
+                if delivered:
+                    consolidate_into(rebuilt[msg.receiver], msg.entry.id, msg.entry.count)
             net3.audit_exactly_once()
             p3.delivered += net3.delivered_count
             p3.dropped += net3.dropped_count

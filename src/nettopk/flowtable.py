@@ -179,14 +179,6 @@ class MultiVectorTable:
         self.ids[vector][index] = entry.id
         self.counts[vector][index] = entry.count
 
-    def reset(self) -> None:
-        for i in range(self.config.d):
-            ids_i = self.ids[i]
-            counts_i = self.counts[i]
-            for j in range(self.config.s):
-                ids_i[j] = EMPTY_ID
-                counts_i[j] = EMPTY_COUNT
-
     def entries(self) -> Iterator[FlowEntry]:
         """Non-empty entries, vector-major then index order."""
         for i in range(self.config.d):

@@ -17,7 +17,9 @@ verifies that agreement, the per-vector ordering, duplicate freedom, and
 sum consistency after every simulated cycle.
 
 run_cycle drives the object model through a simulated transport (any
-delivery order, optional loss), message by message. run_cycle_arrays is the
+delivery order, optional loss), message by message; a delivery can end a
+round only at its receiver, so only the receiver is checked for
+completion. run_cycle_arrays is the
 lossless bulk equivalent for large configurations: it relies on that order
 independence to compute G-TopK once in closed form and copy it to every
 switch. Differential tests pin the two to identical tables and delivery
@@ -26,6 +28,7 @@ counts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -63,15 +66,6 @@ class PhaseError(Exception):
 
 class InvariantError(AssertionError):
     """A protocol invariant failed; message carries a table diagnostic."""
-
-
-@dataclass(frozen=True)
-class ProtocolMessage:
-    """One table entry in flight: (round, sender, entry)."""
-
-    round: Round
-    sender: int
-    entry: FlowEntry
 
 
 def consolidate_into(
@@ -135,21 +129,16 @@ class SwitchState:
         self.g_topk = MultiVectorTable(self.config, FieldOrder.COUNT_FIRST)
         self.phase = RoundPhase.AGGREGATION
 
-    def emit_aggregation_messages(self) -> list[ProtocolMessage]:
-        self._require(RoundPhase.AGGREGATION, "emit_aggregation_messages")
-        return [ProtocolMessage(Round.AGG, self.switch_id, e) for e in self.snapshot.entries()]
-
-    def handle_aggregation_packet(self, msg: ProtocolMessage, log: AccessLog | None = None) -> None:
+    def handle_aggregation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         """Add a received count to Sum where Snapshot holds the same id."""
         self._require(RoundPhase.AGGREGATION, "handle_aggregation_packet")
-        assert msg.round is Round.AGG
-        assert msg.sender != self.switch_id
-        fid = msg.entry.id
+        assert sender != self.switch_id
+        fid = entry.id
         for i in range(self.config.d):
             j = hash_index(self.config, i, fid)
             if self.snapshot.read_id(i, j, log) == fid:
                 c = self.sum.read_count(i, j, log)
-                self.sum.write_count(i, j, c + msg.entry.count, log)
+                self.sum.write_count(i, j, c + entry.count, log)
                 return
         # id not local: disregarded
 
@@ -160,14 +149,10 @@ class SwitchState:
         for e in self.sum.entries():
             consolidate_into(self.g_topk, e.id, e.count)
 
-    def emit_consolidation_messages(self) -> list[ProtocolMessage]:
-        self._require(RoundPhase.CONSOLIDATION, "emit_consolidation_messages")
-        return [ProtocolMessage(Round.CONS, self.switch_id, e) for e in self.sum.entries()]
-
-    def handle_consolidation_packet(self, msg: ProtocolMessage, log: AccessLog | None = None) -> None:
+    def handle_consolidation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         self._require(RoundPhase.CONSOLIDATION, "handle_consolidation_packet")
-        assert msg.round is Round.CONS
-        consolidate_into(self.g_topk, msg.entry.id, msg.entry.count, log)
+        assert sender != self.switch_id
+        consolidate_into(self.g_topk, entry.id, entry.count, log)
 
     def end_consolidation(self) -> None:
         self._require(RoundPhase.CONSOLIDATION, "end_consolidation")
@@ -229,19 +214,16 @@ def run_rounds(switches, net) -> CycleStats:
     for sw in sws.values():
         reader, count = _slot_reader(sw.snapshot)
         net.broadcast(sw.switch_id, Round.AGG, reader, count)
-    _advance(sws, net)
-    while True:
-        ev = net.step()
-        if ev is None:
-            break
-        if ev.kind == "deliver":
-            sw = sws[ev.receiver]
-            msg = ProtocolMessage(Round(ev.round), ev.sender, ev.entry)
-            if msg.round is Round.AGG:
-                sw.handle_aggregation_packet(msg)
+    _advance(sws, net, sws)
+    while (ev := net.step()) is not None:
+        delivered, msg = ev
+        if delivered:
+            sw = sws[msg.receiver]
+            if msg.round_key is Round.AGG:
+                sw.handle_aggregation_packet(msg.sender, msg.entry)
             else:
-                sw.handle_consolidation_packet(msg)
-            _advance(sws, net)
+                sw.handle_consolidation_packet(msg.sender, msg.entry)
+            _advance(sws, net, (msg.receiver,))
     for sw in sws.values():
         assert sw.phase is RoundPhase.IDLE, f"switch {sw.switch_id} stuck in {sw.phase}"
     return CycleStats(
@@ -250,22 +232,29 @@ def run_rounds(switches, net) -> CycleStats:
     )
 
 
-def _advance(sws, net) -> None:
-    # completions can cascade (a switch ending aggregation registers its
-    # consolidation broadcast, which may complete another switch's round),
-    # so iterate to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for sw in sws.values():
-            if sw.phase is RoundPhase.AGGREGATION and net.round_complete(sw.switch_id, Round.AGG):
-                sw.end_aggregation()
-                reader, count = _slot_reader(sw.sum)
-                net.broadcast(sw.switch_id, Round.CONS, reader, count, requires=Round.AGG)
-                changed = True
-            elif sw.phase is RoundPhase.CONSOLIDATION and net.round_complete(sw.switch_id, Round.CONS):
-                sw.end_consolidation()
-                changed = True
+def _advance(sws, net, todo) -> None:
+    """End the round of each switch in todo whose round is complete.
+
+    A (receiver, round) completes only when a message is delivered to the
+    receiver or a peer registers a zero-entry broadcast to it. So run_rounds
+    checks every switch once after the AGG broadcasts, and then only the
+    receiver of each delivery. A switch that ends aggregation re-checks
+    itself (its peers' CONS broadcasts to it may all have been empty) and,
+    if its own CONS broadcast is empty, its peers. todo is first in, first
+    out, so CONS broadcasts are registered in the order AGG rounds complete.
+    """
+    todo = deque(todo)
+    while todo:
+        sw = sws[todo.popleft()]
+        if sw.phase is RoundPhase.AGGREGATION and net.round_complete(sw.switch_id, Round.AGG):
+            sw.end_aggregation()
+            reader, count = _slot_reader(sw.sum)
+            net.broadcast(sw.switch_id, Round.CONS, reader, count, requires=Round.AGG)
+            todo.append(sw.switch_id)
+            if count == 0:
+                todo.extend(p for p in sws if p != sw.switch_id)
+        elif sw.phase is RoundPhase.CONSOLIDATION and net.round_complete(sw.switch_id, Round.CONS):
+            sw.end_consolidation()
 
 
 # Invariant checks, object form.

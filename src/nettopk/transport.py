@@ -17,6 +17,10 @@ always deliverable, so the network never stalls.
 Delivery order is either FIFO_PER_PAIR (per sender-receiver queue, fair
 rotation across queues) or RANDOM (uniform over all deliverable messages).
 Everything is deterministic given the config seed.
+
+Each step() delivers or drops exactly one message and returns
+(delivered, message), where message is the queued Message itself; it
+returns None once nothing is deliverable.
 """
 
 from __future__ import annotations
@@ -78,21 +82,13 @@ class RoundTracker:
         return self._registered.get(rk, 0) == self.n_peers and self._pending.get(rk, 0) == 0
 
 
-@dataclass(frozen=True)
-class _Message:
+@dataclass(frozen=True, slots=True)
+class Message:
+    """One queued copy of entry seq of sender's round_key broadcast."""
+
     receiver: int
     sender: int
     round_key: object
-    seq: int
-    entry: FlowEntry
-
-
-@dataclass
-class TransportEvent:
-    kind: str  # "deliver" or "drop"
-    receiver: int
-    sender: int
-    round: object
     seq: int
     entry: FlowEntry
 
@@ -122,24 +118,24 @@ class Network:
         self._requires: dict[object, object] = {}
         self._time = 0
         # deliverable messages
-        self._ready: list[_Message] = []
+        self._ready: list[Message] = []
         self._queues: dict[tuple, deque] = {}
         self._rotation: deque = deque()
         # messages waiting on (receiver, prerequisite round)
-        self._blocked: dict[tuple, list[_Message]] = {}
+        self._blocked: dict[tuple, list[Message]] = {}
         # delivery audit per (receiver, sender, round, seq)
         self._audit: dict[tuple, int] = {}
 
     # enqueue plumbing
 
-    def _log(self, kind: str, msg: _Message) -> None:
+    def _log(self, kind: str, msg: Message) -> None:
         if self.record_events:
             self.events.append(
                 f"{self._time},{kind},{msg.round_key},{msg.sender},{msg.receiver},"
                 f"{msg.entry.id},{msg.entry.count}"
             )
 
-    def _enqueue(self, msg: _Message) -> None:
+    def _enqueue(self, msg: Message) -> None:
         self.enqueued_count += 1
         self._log("ENQ", msg)
         requires = self._requires.get(msg.round_key)
@@ -148,7 +144,7 @@ class Network:
             return
         self._make_ready(msg)
 
-    def _make_ready(self, msg: _Message) -> None:
+    def _make_ready(self, msg: Message) -> None:
         if self.config.delivery_order is DeliveryOrder.RANDOM:
             self._ready.append(msg)
         else:
@@ -185,11 +181,11 @@ class Network:
         for seq in range(count):
             entry = reader(seq)
             for receiver in receivers:
-                self._enqueue(_Message(receiver, sender, round_key, seq, entry))
+                self._enqueue(Message(receiver, sender, round_key, seq, entry))
 
     # delivery
 
-    def _pick(self) -> _Message | None:
+    def _pick(self) -> Message | None:
         if self.config.delivery_order is DeliveryOrder.RANDOM:
             if not self._ready:
                 return None
@@ -207,8 +203,12 @@ class Network:
             return msg
         return None
 
-    def step(self) -> TransportEvent | None:
-        """Deliver or drop the next deliverable message; None when idle."""
+    def step(self) -> tuple[bool, Message] | None:
+        """Deliver or drop the next deliverable message; None when idle.
+
+        Returns (True, msg) for a delivery and (False, msg) for a drop,
+        whose retransmission is already enqueued.
+        """
         msg = self._pick()
         if msg is None:
             assert not any(self._blocked.values()), "transport stalled on blocked messages"
@@ -218,9 +218,9 @@ class Network:
             self.dropped_count += 1
             self._log("DROP", msg)
             reader = self._readers[(msg.sender, msg.round_key)]
-            retry = _Message(msg.receiver, msg.sender, msg.round_key, msg.seq, reader(msg.seq))
+            retry = Message(msg.receiver, msg.sender, msg.round_key, msg.seq, reader(msg.seq))
             self._enqueue(retry)
-            return TransportEvent("drop", msg.receiver, msg.sender, msg.round_key, msg.seq, msg.entry)
+            return False, msg
         self.delivered_count += 1
         self._log("DELIVER", msg)
         akey = (msg.receiver, msg.sender, msg.round_key, msg.seq)
@@ -229,7 +229,7 @@ class Network:
         self.tracker.note_delivery(msg.receiver, msg.sender, msg.round_key)
         if self.tracker.complete(msg.receiver, msg.round_key):
             self._release(msg.receiver, msg.round_key)
-        return TransportEvent("deliver", msg.receiver, msg.sender, msg.round_key, msg.seq, msg.entry)
+        return True, msg
 
     def round_complete(self, receiver, round_key) -> bool:
         return self.tracker.complete(receiver, round_key)

@@ -3,7 +3,6 @@
 import pytest
 
 from nettopk.flowtable import (
-    EMPTY_COUNT,
     EMPTY_ID,
     AccessLog,
     Field,
@@ -88,14 +87,6 @@ def test_entries_vector_major_order():
     t.set_entry(0, 2, FlowEntry(8, 80))
     assert table_entries(t) == [FlowEntry(8, 80), FlowEntry(7, 70), FlowEntry(9, 90)]
     assert t.occupancy() == 3
-
-
-def test_reset_clears_everything():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
-    t.set_entry(0, 1, FlowEntry(3, 30))
-    t.reset()
-    assert t.occupancy() == 0
-    assert t.counts[0][1] == EMPTY_COUNT
 
 
 def test_snapshot_copy_isolated():

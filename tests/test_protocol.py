@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingested_switches, sorted_entries, table_to_arrays
+from nettopk import cluster
+from nettopk.cluster import partition, run_clustered
 from nettopk.flowtable import (
     AccessLog,
     Field,
@@ -21,8 +23,6 @@ from nettopk.precision import process_packet
 from nettopk.protocol import (
     InvariantError,
     PhaseError,
-    ProtocolMessage,
-    Round,
     RoundPhase,
     SwitchState,
     check_cycle_invariants,
@@ -158,13 +158,10 @@ def test_walk_chain_of_evictions_is_single_pass():
 
 def test_phase_transitions_and_errors():
     sw = SwitchState(0, CFG, rng_seed=1)
-    msg_agg = ProtocolMessage(Round.AGG, 1, FlowEntry(3, 5))
-    msg_cons = ProtocolMessage(Round.CONS, 1, FlowEntry(3, 5))
+    entry = FlowEntry(3, 5)
     assert sw.phase is RoundPhase.IDLE
     with pytest.raises(PhaseError):
-        sw.emit_aggregation_messages()
-    with pytest.raises(PhaseError):
-        sw.handle_aggregation_packet(msg_agg)
+        sw.handle_aggregation_packet(1, entry)
     with pytest.raises(PhaseError):
         sw.end_aggregation()
     sw.begin_cycle()
@@ -172,13 +169,13 @@ def test_phase_transitions_and_errors():
     with pytest.raises(PhaseError):
         sw.begin_cycle()
     with pytest.raises(PhaseError):
-        sw.handle_consolidation_packet(msg_cons)
+        sw.handle_consolidation_packet(1, entry)
     with pytest.raises(PhaseError):
         sw.end_consolidation()
     sw.end_aggregation()
     assert sw.phase is RoundPhase.CONSOLIDATION
     with pytest.raises(PhaseError):
-        sw.handle_aggregation_packet(msg_agg)
+        sw.handle_aggregation_packet(1, entry)
     sw.end_consolidation()
     assert sw.phase is RoundPhase.IDLE
 
@@ -207,23 +204,11 @@ def test_begin_cycle_with_explicit_source():
     assert sw.snapshot.field_order is FieldOrder.ID_FIRST
 
 
-def test_emit_aggregation_is_repeatable():
-    sw = SwitchState(3, CFG, rng_seed=1)
-    place(sw.l_topk.table, 0, 4, 9)
-    place(sw.l_topk.table, 1, 5, 7)
-    sw.begin_cycle()
-    first = sw.emit_aggregation_messages()
-    second = sw.emit_aggregation_messages()
-    assert first == second
-    assert all(m.round is Round.AGG and m.sender == 3 for m in first)
-    assert [m.entry for m in first] == list(sw.snapshot.entries())
-
-
 def test_aggregation_adds_on_matching_id():
     sw = SwitchState(0, CFG, rng_seed=1)
     place(sw.l_topk.table, 0, 1, 1000)
     sw.begin_cycle()
-    sw.handle_aggregation_packet(ProtocolMessage(Round.AGG, 1, FlowEntry(1, 1300)))
+    sw.handle_aggregation_packet(1, FlowEntry(1, 1300))
     j = hash_index(CFG, 0, 1)
     assert sw.sum.read_count(0, j) == 2300
     assert sw.snapshot.read_count(0, j) == 1000  # snapshot untouched
@@ -233,7 +218,7 @@ def test_aggregation_disregards_unknown_id():
     sw = SwitchState(0, CFG, rng_seed=1)
     place(sw.l_topk.table, 0, 1, 1000)
     sw.begin_cycle()
-    sw.handle_aggregation_packet(ProtocolMessage(Round.AGG, 1, FlowEntry(2, 777)))
+    sw.handle_aggregation_packet(1, FlowEntry(2, 777))
     assert sorted_entries(sw.sum) == [FlowEntry(1, 1000)]
 
 
@@ -245,7 +230,7 @@ def test_aggregation_first_matching_vector_wins():
         j = hash_index(CFG, i, fid)
         sw.snapshot.set_entry(i, j, FlowEntry(fid, 10))
         sw.sum.set_entry(i, j, FlowEntry(fid, 10))
-    sw.handle_aggregation_packet(ProtocolMessage(Round.AGG, 1, FlowEntry(fid, 5)))
+    sw.handle_aggregation_packet(1, FlowEntry(fid, 5))
     assert sw.sum.read_count(0, hash_index(CFG, 0, fid)) == 15
     assert sw.sum.read_count(1, hash_index(CFG, 1, fid)) == 10
 
@@ -254,7 +239,7 @@ def test_aggregation_rejects_own_packet():
     sw = SwitchState(0, CFG, rng_seed=1)
     sw.begin_cycle()
     with pytest.raises(AssertionError):
-        sw.handle_aggregation_packet(ProtocolMessage(Round.AGG, 0, FlowEntry(1, 1)))
+        sw.handle_aggregation_packet(0, FlowEntry(1, 1))
 
 
 def test_end_aggregation_feeds_own_entries():
@@ -274,12 +259,12 @@ def test_handler_access_logs_are_pipeline_legal():
     sw.begin_cycle()
     for entry in (FlowEntry(1, 1300), FlowEntry(2, 50)):
         log = AccessLog()
-        sw.handle_aggregation_packet(ProtocolMessage(Round.AGG, 1, entry), log)
+        sw.handle_aggregation_packet(1, entry, log)
         log.verify(FieldOrder.ID_FIRST)
         assert log.recirculations == 0
     sw.end_aggregation()
     clog = AccessLog()
-    sw.handle_consolidation_packet(ProtocolMessage(Round.CONS, 1, FlowEntry(6, 2000)), clog)
+    sw.handle_consolidation_packet(1, FlowEntry(6, 2000), clog)
     clog.verify(FieldOrder.COUNT_FIRST)
     assert clog.recirculations == 0
 
@@ -337,6 +322,82 @@ def test_replaying_a_consolidated_table_reproduces_it(stream_seed):
     for e in final.entries():
         consolidate_into(rebuilt, e.id, e.count)
     assert rebuilt.equals(final)
+
+
+# empty local tables: a zero-entry broadcast is then the only event that
+# completes some rounds
+
+
+def with_bounded_completion_checks(net, sws):
+    """Make net fail if a step is followed by more round checks than it needs.
+
+    After a delivery only its receiver is checked, and once more if it ends
+    aggregation; when its Sum is empty, it also re-checks its n - 1 peers.
+    A scan of every switch after every delivery would exceed the bound.
+    """
+    step, round_complete = net.step, net.round_complete
+    last, calls = None, 0  # the previous step's result, round checks since
+
+    def counted_round_complete(receiver, round_key):
+        nonlocal calls
+        calls += 1
+        return round_complete(receiver, round_key)
+
+    def bounded_step():
+        nonlocal last, calls
+        if last is not None:
+            receiver = sws[last[1].receiver]
+            bound = 2 + (net.config.n - 1) * (receiver.sum.occupancy() == 0)
+            assert calls <= bound, f"{calls} round checks after one step"
+        last, calls = step(), 0
+        return last
+
+    net.step = bounded_step
+    net.round_complete = counted_round_complete
+    return net
+
+
+def empty_out(switches, ids):
+    for i in ids:
+        switches[i].l_topk.table = MultiVectorTable(CFG, FieldOrder.ID_FIRST)
+
+
+@pytest.mark.parametrize("order", list(DeliveryOrder))
+@pytest.mark.parametrize("empty", [(0,), (2,), (4,), (1, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4)])
+def test_empty_tables_complete_every_round(empty, order):
+    switches = ingested_switches(5, CFG, stream_seed=6)
+    empty_out(switches, empty)
+    net = Network(NetworkConfig(n=5, drop_probability=0.3, delivery_order=order, seed=8))
+    stats = run_cycle(switches, with_bounded_completion_checks(net, switches))
+    net.audit_exactly_once()
+    check_cycle_invariants(switches)
+    assert all(sw.phase is RoundPhase.IDLE for sw in switches)
+    assert (switches[0].query.occupancy() == 0) == (len(empty) == 5)
+    if len(empty) < 5:
+        assert stats.dropped > 0
+
+
+@pytest.mark.parametrize("whole_network", [False, True])
+def test_empty_tables_complete_clustered_rounds(whole_network, monkeypatch):
+    switches = ingested_switches(8, CFG, stream_seed=7)
+    plan = partition(8, 3, seed=2)
+    # a whole empty cluster, and one empty member of another cluster
+    empty = range(8) if whole_network else plan.members(0) + plan.members(1)[-1:]
+    empty_out(switches, empty)
+    monkeypatch.setattr(
+        cluster, "Network",
+        lambda config, participants: with_bounded_completion_checks(
+            Network(config, participants=participants), switches
+        ),
+    )
+    stats = run_clustered(
+        switches, plan,
+        NetworkConfig(n=8, drop_probability=0.3, delivery_order=DeliveryOrder.RANDOM, seed=4),
+    )
+    assert all(sw.phase is RoundPhase.IDLE for sw in switches)
+    assert (switches[0].query.occupancy() == 0) == whole_network
+    if not whole_network:
+        assert stats.dropped > 0
 
 
 def test_multiple_cycles_back_to_back():

@@ -22,6 +22,7 @@ def entries_reader(entries):
 
 
 def drain(net):
+    """Step until idle; returns the (delivered, message) pairs in order."""
     events = []
     while True:
         ev = net.step()
@@ -47,7 +48,7 @@ def test_lossless_exactly_once():
         net.broadcast(sender, "r", reader, len(payload))
     events = drain(net)
     assert len(events) == 3 * 2 * 4
-    assert all(ev.kind == "deliver" for ev in events)
+    assert all(delivered for delivered, _ in events)
     net.audit_exactly_once()
     assert net.delivered_count == 24
     assert net.dropped_count == 0
@@ -60,7 +61,7 @@ def test_drops_are_retransmitted_until_delivered():
     reader, calls = entries_reader(payload)
     net.broadcast(0, "r", reader, len(payload))
     events = drain(net)
-    drops = [ev for ev in events if ev.kind == "drop"]
+    drops = [msg for delivered, msg in events if not delivered]
     assert drops  # at p=0.5 over 16 messages this seed drops plenty
     net.audit_exactly_once()
     assert net.delivered_count == 16
@@ -105,10 +106,10 @@ def test_dependent_round_held_until_prerequisite_completes():
     while not net.round_complete(1, "a"):
         ev = net.step()
         assert ev is not None
-        first_kinds.append(ev.round)
+        first_kinds.append(ev[1].round_key)
     assert set(first_kinds) == {"a"}  # nothing from "b" slipped through
     rest = drain(net)
-    assert [ev.round for ev in rest] == ["b"]
+    assert [msg.round_key for _, msg in rest] == ["b"]
     net.audit_exactly_once()
 
 
@@ -121,7 +122,7 @@ def test_prerequisite_already_met_delivers_immediately():
     rb, _ = entries_reader([FlowEntry(2, 2)])
     net.broadcast(0, "b", rb, 1, requires="a")
     events = drain(net)
-    assert [ev.round for ev in events] == ["b"]
+    assert [msg.round_key for _, msg in events] == ["b"]
 
 
 def test_permanently_blocked_messages_are_a_stall():
@@ -143,8 +144,8 @@ def test_fifo_per_pair_preserves_sequence_order():
         net.broadcast(sender, "r", reader, len(payload))
     events = drain(net)
     per_pair = {}
-    for ev in events:
-        per_pair.setdefault((ev.sender, ev.receiver), []).append(ev.seq)
+    for _, msg in events:
+        per_pair.setdefault((msg.sender, msg.receiver), []).append(msg.seq)
     for seqs in per_pair.values():
         assert seqs == sorted(seqs)
 
@@ -156,7 +157,7 @@ def test_random_order_is_seed_deterministic():
         for sender in range(3):
             reader, _ = entries_reader(payload)
             net.broadcast(sender, "r", reader, len(payload))
-        return [(ev.sender, ev.receiver, ev.seq) for ev in drain(net)]
+        return [(msg.sender, msg.receiver, msg.seq) for _, msg in drain(net)]
 
     a = run(7)
     b = run(7)
@@ -196,7 +197,7 @@ def test_broadcast_to_explicit_receivers():
     reader, _ = entries_reader([FlowEntry(1, 5)])
     net.broadcast(0, "r", reader, 1, receivers=[2, 3])
     events = drain(net)
-    assert sorted(ev.receiver for ev in events) == [2, 3]
+    assert sorted(msg.receiver for _, msg in events) == [2, 3]
     assert net.round_complete(2, "r") is False  # only 1 of 3 peers registered
 
 
