@@ -6,9 +6,9 @@ arrays so large configurations (hundreds of switches, millions of packets)
 finish in seconds.
 
 Ingest is sequential: each packet's replacement decision depends on the
-table the previous packets left. ingest_arrays therefore runs the object
-model's precision.ingest on a switch's rows, so the replacement rule has a
-single implementation.
+table the previous packets left. ingest_arrays therefore runs
+precision.ingest, the batch loop the reference engine also uses, on a
+switch's rows, passing the numpy packet chunk straight through.
 
 The merge rounds are computed in closed form with numpy. Aggregation
 writes each id's network-wide total into every Sum slot holding it.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flowtable import FieldOrder, MultiVectorTable, TableConfig
+from .flowtable import FieldOrder, MultiVectorTable, TableConfig, vector_hash_indices
 from .precision import LocalTopKState, ingest
 
 # Nothing is jitted; perfbench/run.py still records this in its environment.
@@ -37,9 +37,9 @@ HAVE_NUMBA = False
 def ingest_arrays(ids, counts, seeds, mask, packets, rng_state):
     """Ingest packets into one switch's (d, s) arrays; returns (rng_state, recircs).
 
-    The rows are fed through the object model's precision.ingest and the
-    resulting table is written back in place. The returned RNG state is a
-    plain int to pass to the next batch.
+    The rows are fed through precision.ingest and the resulting table is
+    written back in place. The returned RNG state is a plain int to pass to
+    the next batch.
     """
     d, s = ids.shape
     if int(mask) != s - 1:
@@ -49,21 +49,10 @@ def ingest_arrays(ids, counts, seeds, mask, packets, rng_state):
     table.ids = ids.tolist()
     table.counts = counts.tolist()
     state = LocalTopKState(table, int(rng_state))
-    ingest(state, packets.tolist())
+    ingest(state, packets)
     ids[:] = table.ids
     counts[:] = table.counts
     return state.rng_state, state.recirculations
-
-
-def vector_hash_indices(ids: np.ndarray, seed: int, mask: int) -> np.ndarray:
-    """Vectorized slot indices for an array of flow IDs (one hash seed)."""
-    x = (ids.astype(np.uint64) ^ np.uint64(seed & 0xFFFFFFFF)) & np.uint64(0xFFFFFFFF)
-    x ^= x >> np.uint64(16)
-    x = (x * np.uint64(0x85EBCA6B)) & np.uint64(0xFFFFFFFF)
-    x ^= x >> np.uint64(13)
-    x = (x * np.uint64(0xC2B2AE35)) & np.uint64(0xFFFFFFFF)
-    x ^= x >> np.uint64(16)
-    return (x & np.uint64(mask)).astype(np.int64)
 
 
 def _place(ids: np.ndarray, counts: np.ndarray, seeds, mask, s: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ that emit CSV rows (one per seed plus an AVG row).
 
 Two interchangeable engines exist: the object model with a simulated
 transport (required for loss and delivery-order studies) and the bulk
-array engine (lossless only; ingest runs the object model's replacement
-rule packet by packet, the merge is computed in closed form with numpy,
-fast enough for hundreds of switches and millions of packets). Both produce
+array engine (lossless only; the merge is computed in closed form with
+numpy, fast enough for hundreds of switches and millions of packets).
+Both ingest through precision.ingest, which hashes blocks of packets with
+numpy and applies the replacement rule in one loop, and both produce
 identical tables and message counts for identical configs.
 
 A recorded trace (--trace) is read once per experiment and shared by

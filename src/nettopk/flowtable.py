@@ -6,6 +6,8 @@ one simulation share the same seeds, so a flow probes the same slot
 coordinates in every table on every switch.
 
 Slot (id=0, count=0) is the empty sentinel; traces never contain flow ID 0.
+vector_hash_indices is hash_index over a numpy array of flow IDs, for bulk
+ingest, the array engine and its invariant checks.
 
 The AccessLog mechanizes the feed-forward constraint of a switch pipeline:
 stages (vectors) are traversed in order, and within a stage the two fields
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 EMPTY_ID = 0
 EMPTY_COUNT = 0
@@ -91,6 +95,33 @@ def hash_index(config: TableConfig, vector_i: int, flow_id: int) -> int:
     assert 0 <= vector_i < config.d, "vector index out of range"
     assert flow_id != EMPTY_ID, "empty sentinel is never hashed"
     return mix32(flow_id ^ config.seeds[vector_i]) & (config.s - 1)
+
+
+def mix32_array(ids: np.ndarray, seed: int) -> np.ndarray:
+    """mix32(id ^ seed) of every flow ID, as a new uint64 array.
+
+    Every step after the copy runs in place: callers hash trace-length
+    arrays, where a temporary per step would set the process's peak memory.
+    """
+    m32 = np.uint64(_MASK32)
+    x = ids.astype(np.uint64)
+    x ^= np.uint64(seed & _MASK32)
+    x &= m32
+    x ^= x >> np.uint64(16)
+    x *= np.uint64(0x85EBCA6B)
+    x &= m32
+    x ^= x >> np.uint64(13)
+    x *= np.uint64(0xC2B2AE35)
+    x &= m32
+    x ^= x >> np.uint64(16)
+    return x
+
+
+def vector_hash_indices(ids: np.ndarray, seed: int, mask: int) -> np.ndarray:
+    """hash_index of every flow ID in an array, for the vector with this seed."""
+    x = mix32_array(ids, seed)
+    x &= np.uint64(mask)
+    return x.view(np.int64)
 
 
 # AccessLog entries: (vector, Field, Mode) tuples, or the RECIRCULATE marker.

@@ -8,17 +8,37 @@ that slot with (id, MinCount+1). The write itself is modeled as zero-cost,
 but every such second pass is tallied so recirculation load is reportable.
 
 Randomness is an explicit splitmix64 state per switch, so whole-network
-runs are bit-reproducible. This is the only implementation of the rule:
-the array engine's ingest_arrays runs it on a switch's array rows.
+runs are bit-reproducible. The rule is written twice. process_packet states
+it per packet on the table's accessors and can record the AccessLog that
+proves pipeline legality; it is the reference. ingest applies it to a
+stream in blocks: each block is hashed once with numpy, then one loop
+works on the table's row lists directly. Both engines ingest through it,
+and tests require it to match a process_packet loop exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flowtable import EMPTY_ID, AccessLog, FieldOrder, MultiVectorTable, TableConfig, hash_index
+import numpy as np
+
+from .flowtable import (
+    EMPTY_ID,
+    AccessLog,
+    FieldOrder,
+    MultiVectorTable,
+    TableConfig,
+    hash_index,
+    vector_hash_indices,
+)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Packets hashed and converted to Python ints at a time by ingest. Bounds the
+# block's list copies, which would otherwise be trace-length. At 2**14 the
+# 128 KiB lists sometimes kept glibc from trimming its heap after a seed, and
+# the peak RSS of later seeds crept upwards; 32 KiB lists did not.
+INGEST_BLOCK = 1 << 12
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -54,7 +74,8 @@ class LocalTopKState:
 
 def process_packet(state: LocalTopKState, flow_id: int, log: AccessLog | None = None) -> None:
     """Account one packet of flow_id into the local top-k table."""
-    assert flow_id != EMPTY_ID
+    if flow_id == EMPTY_ID:
+        raise ValueError(f"flow id {EMPTY_ID} is the empty-slot sentinel")
     table = state.table
     config = table.config
     min_count = -1
@@ -84,9 +105,46 @@ def process_packet(state: LocalTopKState, flow_id: int, log: AccessLog | None = 
 
 
 def ingest(state: LocalTopKState, packets) -> None:
-    """Feed a sequence of flow IDs through process_packet in order."""
-    for fid in packets:
-        process_packet(state, int(fid))
+    """Account a sequence of flow IDs in order, as process_packet would.
+
+    The slots of a block of packets are hashed with numpy, then the rule
+    runs on the table's row lists with the RNG state and recirculation
+    count held in locals. A flow ID 0 anywhere raises ValueError before
+    any packet is accounted.
+    """
+    packets = np.asarray(packets)
+    if not packets.all():
+        raise ValueError(f"flow id {EMPTY_ID} is the empty-slot sentinel")
+    table = state.table
+    config = table.config
+    mask = config.s - 1
+    ids, counts = table.ids, table.counts
+    rng = state.rng_state
+    recirculations = 0
+    for start in range(0, len(packets), INGEST_BLOCK):
+        block = packets[start : start + INGEST_BLOCK]
+        slots = [vector_hash_indices(block, seed, mask).tolist() for seed in config.seeds]
+        for flow_id, probe in zip(block.tolist(), zip(*slots)):
+            min_count = -1
+            for i, j in enumerate(probe):
+                if ids[i][j] == flow_id:
+                    counts[i][j] += 1
+                    break
+                c = counts[i][j]
+                if min_count < 0 or c < min_count:
+                    min_count = c
+                    min_vec = i
+                    min_idx = j
+            else:
+                if min_count > 0:
+                    rng, z = splitmix64(rng)
+                    if z >= _MASK64 // (min_count + 1):
+                        continue
+                recirculations += 1
+                ids[min_vec][min_idx] = flow_id
+                counts[min_vec][min_idx] = min_count + 1
+    state.rng_state = rng
+    state.recirculations += recirculations
 
 
 def local_estimate(state: LocalTopKState, flow_id: int) -> int | None:

@@ -45,6 +45,7 @@ from .flowtable import (
     hash_index,
     snapshot_copy,
     table_entries,
+    vector_hash_indices,
 )
 from .precision import LocalTopKState
 
@@ -374,15 +375,23 @@ def check_invariants_arrays(res: ArrayCycleResult, seeds: np.ndarray, mask) -> N
         bad = np.nonzero(flat_sum[nz] != expect)[0][:5]
         raise InvariantError(f"sum disagreement at flat offsets {bad.tolist()}")
 
-    # per-vector ordering and duplicate freedom on the (shared) table of switch 0
+    # placement, per-vector ordering and duplicate freedom on the (shared)
+    # table of switch 0
     g_ids0 = res.g_ids[0]
     g_counts0 = res.g_counts[0]
+    for i in range(d):
+        occupied = g_ids0[i] != 0
+        home = vector_hash_indices(g_ids0[i][occupied], int(seeds[i]), int(mask))
+        if not (home == np.nonzero(occupied)[0]).all():
+            raise InvariantError(f"g_topk entry misplaced in vector {i}")
+        if g_counts0[i][~occupied].any():
+            raise InvariantError(f"empty g_topk slot in vector {i} carries a count")
     for i in range(1, d):
         occupied = g_ids0[i] != 0
         ids_i = g_ids0[i][occupied]
         counts_i = g_counts0[i][occupied]
         for earlier in range(i):
-            j2 = _kernels.vector_hash_indices(ids_i, int(seeds[earlier]), int(mask))
+            j2 = vector_hash_indices(ids_i, int(seeds[earlier]), int(mask))
             e_counts = g_counts0[earlier][j2]
             e_ids = g_ids0[earlier][j2]
             above = (e_counts > counts_i) | ((e_counts == counts_i) & (e_ids > ids_i))

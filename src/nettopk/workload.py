@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowtable import FlowEntry
+from .flowtable import FlowEntry, mix32_array
 from .precision import derive_seed
 
 TRACE_MAGIC = b"NTRC"
@@ -64,19 +64,7 @@ def exact_topk(trace: Trace, k: int) -> list[FlowEntry]:
 
 
 def _home_switches(ids: np.ndarray, seed: int, n: int) -> np.ndarray:
-    # in place: a trace-length uint64 temporary per step would set the
-    # process's peak memory
-    m32 = np.uint64(0xFFFFFFFF)
-    x = ids.astype(np.uint64)
-    x ^= np.uint64(seed & 0xFFFFFFFF)
-    x &= m32
-    x ^= x >> np.uint64(16)
-    x *= np.uint64(0x85EBCA6B)
-    x &= m32
-    x ^= x >> np.uint64(13)
-    x *= np.uint64(0xC2B2AE35)
-    x &= m32
-    x ^= x >> np.uint64(16)
+    x = mix32_array(ids, seed)
     x %= np.uint64(n)
     return x.view(np.int64)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nettopk._kernels import vector_hash_indices
+from nettopk.flowtable import vector_hash_indices
 from nettopk.flowtable import FieldOrder, FlowEntry, MultiVectorTable, TableConfig
 from nettopk.precision import ingest
 from nettopk.protocol import SwitchState

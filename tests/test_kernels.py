@@ -1,12 +1,12 @@
 """Array kernels against the object model.
 
-ingest_arrays runs the object model's ingest on array rows; its test pins
-the hand-back of tables and RNG state between batches. The bulk engine
-computes G-TopK once and copies it to every switch, so agreement between
-its switches holds by construction. The differential tests here are what
-tie it to the protocol: they run the object model message by message,
-under random delivery order and loss, on the same local tables and require
-identical tables and delivery counts.
+ingest_arrays runs precision.ingest on array rows; its test compares it
+with a process_packet loop and pins the hand-back of tables and RNG state
+between batches. The bulk engine computes G-TopK once and copies it to
+every switch, so agreement between its switches holds by construction.
+The differential tests here are what tie it to the protocol: they run the
+object model message by message, under random delivery order and loss, on
+the same local tables and require identical tables and delivery counts.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from helpers import ingested_switches, table_to_arrays
 from nettopk import _kernels
 from nettopk.cluster import partition, run_clustered, run_clustered_arrays
-from nettopk.flowtable import TableConfig, hash_index
-from nettopk.precision import LocalTopKState, derive_seed, ingest
+from nettopk.flowtable import TableConfig, hash_index, vector_hash_indices
+from nettopk.precision import LocalTopKState, derive_seed, process_packet
 from nettopk.protocol import run_cycle, run_cycle_arrays
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 from nettopk.workload import gen_zipf
@@ -50,7 +50,8 @@ def test_ingest_matches_reference_object_model():
         config = TableConfig(d=d, s=32, seeds=tuple(derive_seed(22, i) & 0xFFFFFFFF for i in range(d)))
         seeds = np.array(config.seeds, dtype=np.uint64)
         st = LocalTopKState.create(config, rng_seed=5)
-        ingest(st, packets)
+        for fid in packets.tolist():
+            process_packet(st, fid)
 
         ids = np.zeros((d, config.s), dtype=np.uint64)
         counts = np.zeros((d, config.s), dtype=np.uint64)
@@ -81,7 +82,7 @@ def test_replay_reproduces_consolidated_table():
 
 def test_vector_hash_indices_matches_scalar():
     ids = np.array([1, 2, 3, 1000, 2**31], dtype=np.uint64)
-    out = _kernels.vector_hash_indices(ids, int(SEEDS[0]), int(MASK))
+    out = vector_hash_indices(ids, int(SEEDS[0]), int(MASK))
     for fid, j in zip(ids, out):
         assert int(j) == hash_index(CFG, 0, int(fid))
 

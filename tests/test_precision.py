@@ -1,6 +1,9 @@
 """Local top-k accounting: matches, probabilistic replacement, recirculation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nettopk.precision as precision
 from nettopk.flowtable import (
@@ -205,3 +208,43 @@ def test_zipf_recall_of_local_table():
         present = {e.id for e in st.table.entries()}
         recall = sum(1 for e in truth if e.id in present) / k
         assert recall >= 0.9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    s=st.sampled_from([1, 2, 16, 64]),
+    flows=st.integers(1, 40),
+    batches=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    block=st.sampled_from([1, 3, 8]),
+    seed=st.integers(0, 2**16),
+)
+def test_ingest_matches_process_packet_loop(d, s, flows, batches, block, seed):
+    # small flow sets against small tables force collisions, count ties and
+    # random replacement draws; a small block makes batches cross boundaries
+    config = TableConfig(d=d, s=s, seeds=tuple(derive_seed(seed, i) & 0xFFFFFFFF for i in range(d)))
+    fast = LocalTopKState.create(config, rng_seed=seed)
+    ref = LocalTopKState.create(config, rng_seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precision, "INGEST_BLOCK", block)
+        for b, size in enumerate(batches):
+            packets = gen_zipf(1.0, size, flows, seed=seed + b).packets
+            ingest(fast, packets)
+            for fid in packets.tolist():
+                process_packet(ref, fid)
+            assert fast.table.ids == ref.table.ids
+            assert fast.table.counts == ref.table.counts
+            assert fast.rng_state == ref.rng_state
+            assert fast.recirculations == ref.recirculations
+
+
+def test_flow_id_zero_rejected_before_any_write():
+    st = LocalTopKState.create(CFG, rng_seed=9)
+    ingest(st, gen_zipf(1.0, 500, 40, seed=8).packets)
+    before = ([r[:] for r in st.table.ids], [r[:] for r in st.table.counts], st.rng_state, st.recirculations)
+    with pytest.raises(ValueError, match="flow id 0"):
+        process_packet(st, 0)
+    # the zero comes after packets that would insert and replace
+    with pytest.raises(ValueError, match="flow id 0"):
+        ingest(st, np.array([7, 9999, 12345, 0, 5], dtype=np.uint32))
+    assert (st.table.ids, st.table.counts, st.rng_state, st.recirculations) == before

@@ -512,3 +512,32 @@ def test_check_invariants_arrays_detects_tampering():
     res2.sum_counts.reshape(-1)[occupied[0]] += 5
     with pytest.raises(InvariantError):
         check_invariants_arrays(res2, seeds, mask)
+
+
+def test_check_invariants_arrays_detects_misplacement():
+    n = 3
+    switches = ingested_switches(n, CFG, stream_seed=10, packets_per_switch=200, flows=10)
+    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
+    l_counts = np.zeros_like(l_ids)
+    for i, sw in enumerate(switches):
+        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    seeds = np.array(CFG.seeds, dtype=np.uint64)
+    mask = np.uint64(CFG.s - 1)
+    res = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+    check_invariants_arrays(res, seeds, mask)
+    held = np.nonzero(res.g_ids[0][0])[0]
+    empty = np.nonzero(res.g_ids[0][0] == 0)[0]
+    assert len(held) and len(empty)
+
+    # one vector-0 entry moved to an empty slot, on every switch alike
+    moved = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+    for a in (moved.g_ids, moved.g_counts):
+        a[:, 0, empty[0]] = a[:, 0, held[0]]
+        a[:, 0, held[0]] = 0
+    with pytest.raises(InvariantError, match="misplaced"):
+        check_invariants_arrays(moved, seeds, mask)
+
+    # one empty slot given a count, on every switch alike
+    res.g_counts[:, 0, empty[0]] = 7
+    with pytest.raises(InvariantError, match="empty g_topk slot"):
+        check_invariants_arrays(res, seeds, mask)
