@@ -5,12 +5,9 @@ engines, and metric computation into seeded, reproducible experiments
 that emit CSV rows (one per seed plus an AVG row).
 
 Two interchangeable engines exist: the object model with a simulated
-transport (required for loss and delivery-order studies) and the bulk
-array engine (lossless only; the merge is computed in closed form with
-numpy, fast enough for hundreds of switches and millions of packets).
-Both ingest through precision.ingest, which hashes blocks of packets with
-numpy and applies the replacement rule in one loop, and both produce
-identical tables and message counts for identical configs.
+transport (required for loss and delivery-order studies) and the lossless
+bulk engine in _kernels. Both produce identical tables and message counts
+for identical configs.
 
 A recorded trace (--trace) is read once per experiment and shared by
 every seed.
@@ -26,17 +23,11 @@ from statistics import fmean
 import numpy as np
 
 from . import _kernels
-from .cluster import partition, run_clustered, run_clustered_arrays
+from ._kernels import check_invariants_arrays, run_clustered_arrays, run_cycle_arrays
+from .cluster import partition, run_clustered
 from .flowtable import TableConfig, memory_bytes
 from .precision import derive_seed, ingest
-from .protocol import (
-    InvariantError,
-    SwitchState,
-    check_cycle_invariants,
-    check_invariants_arrays,
-    run_cycle,
-    run_cycle_arrays,
-)
+from .protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
 from .workload import SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
 
@@ -163,7 +154,7 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
     """Simulate one seed on pre-split per-switch streams."""
     engine = _choose_engine(config)
     n, d, s = config.n_switches, config.d, config.s
-    seeds = _table_seeds(seed, d)
+    tcfg = TableConfig(d=d, s=s, seeds=_table_seeds(seed, d))
     chunks = [np.array_split(st, config.cycles) for st in streams]
     plan = partition(n, config.clusters, derive_seed(seed, 12)) if config.clusters > 1 else None
     delivered = 0
@@ -171,7 +162,6 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
     recirc = 0
 
     if engine == "reference":
-        tcfg = TableConfig(d=d, s=s, seeds=seeds)
         switches = [SwitchState(i, tcfg, derive_seed(seed, 0x100 + i)) for i in range(n)]
         for cyc in range(config.cycles):
             for i, sw in enumerate(switches):
@@ -194,24 +184,22 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         recirc = sum(sw.l_topk.recirculations for sw in switches)
         reported = [e.id for e in switches[0].query.entries()]
     else:
-        seeds_arr = np.array(seeds, dtype=np.uint64)
-        mask = np.uint64(s - 1)
         l_ids = np.zeros((n, d, s), dtype=np.uint64)
         l_counts = np.zeros((n, d, s), dtype=np.uint64)
         rng_states = [derive_seed(seed, 0x100 + i) for i in range(n)]
         for cyc in range(config.cycles):
             for i in range(n):
                 rng_states[i], rc = _kernels.ingest_arrays(
-                    l_ids[i], l_counts[i], seeds_arr, mask, chunks[i][cyc], rng_states[i]
+                    l_ids[i], l_counts[i], tcfg, rng_states[i], chunks[i][cyc]
                 )
                 recirc += rc
             if plan is None:
-                res = run_cycle_arrays(l_ids, l_counts, seeds_arr, mask)
-                check_invariants_arrays(res, seeds_arr, mask)
+                res = run_cycle_arrays(l_ids, l_counts, tcfg)
+                check_invariants_arrays(res, tcfg)
                 delivered += res.delivered
                 query_ids = res.g_ids
             else:
-                cres = run_clustered_arrays(l_ids, l_counts, seeds_arr, mask, plan)
+                cres = run_clustered_arrays(l_ids, l_counts, tcfg, plan)
                 delivered += cres.delivered
                 query_ids = cres.query_ids
         reported = [int(x) for x in query_ids[0][query_ids[0] != 0]]

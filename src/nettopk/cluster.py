@@ -19,9 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy
 from .protocol import (
     CycleStats,
@@ -29,7 +26,6 @@ from .protocol import (
     check_cycle_invariants,
     consolidate_into,
     run_cycle,
-    run_cycle_arrays,
     run_rounds,
     _slot_reader,
 )
@@ -81,12 +77,13 @@ class ClusteredStats:
         return self.phase1.dropped + self.phase2.dropped + self.phase3.dropped
 
 
-def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check: bool = True) -> ClusteredStats:
+def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> ClusteredStats:
     """Run the three clustered phases over the object model.
 
     net_config supplies loss and ordering policy; each phase gets fresh
-    transport instances (phase boundaries are global barriers). Afterwards
-    every switch's query table holds the network-wide result.
+    transport instances (phase boundaries are global barriers). Every
+    phase-1 and phase-2 cycle passes check_cycle_invariants; afterwards
+    every switch's query table holds the same network-wide result.
     """
     sws = {sw.switch_id: sw for sw in switches}
     phase_seed = net_config.seed
@@ -108,8 +105,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
         net.audit_exactly_once()
         p1.delivered += stats.delivered
         p1.dropped += stats.dropped
-        if check:
-            check_cycle_invariants([sws[m] for m in members])
+        check_cycle_invariants([sws[m] for m in members])
 
     # phase 2: each representative's merged table becomes its local table
     cluster_tables = {rep: snapshot_copy(sws[rep].g_topk) for rep in plan.representatives}
@@ -119,8 +115,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
         sws[rep].begin_cycle(source=cluster_tables[rep])
     p2 = run_rounds([sws[r] for r in reps], net2)
     net2.audit_exactly_once()
-    if check:
-        check_cycle_invariants([sws[r] for r in reps])
+    check_cycle_invariants([sws[r] for r in reps])
 
     # phase 3: representatives disseminate the final table to their clusters
     p3 = CycleStats(0, 0)
@@ -147,11 +142,10 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig, check:
                 sws[m].query = snapshot_copy(rebuilt[m], FieldOrder.ID_FIRST)
         sws[rep].query = snapshot_copy(final, FieldOrder.ID_FIRST)
 
-    if check:
-        ref = switches[0].query
-        for sw in switches:
-            if not sw.query.equals(ref):
-                raise InvariantError(f"query differs on switch {sw.switch_id} after dissemination")
+    ref = switches[0].query
+    for sw in switches:
+        if not sw.query.equals(ref):
+            raise InvariantError(f"query differs on switch {sw.switch_id} after dissemination")
     return ClusteredStats(p1, p2, p3)
 
 
@@ -172,55 +166,3 @@ def clustered_message_count(n: int, c: int, entries: int) -> int:
     phase3 = sum(m - 1 for m in sizes) * entries
     return phase1 + phase2 + phase3
 
-
-# Array engine.
-
-
-@dataclass
-class ClusteredArrayResult:
-    query_ids: np.ndarray
-    query_counts: np.ndarray
-    delivered: int
-    phase_delivered: tuple[int, int, int]
-
-
-def run_clustered_arrays(
-    l_ids: np.ndarray, l_counts: np.ndarray, seeds: np.ndarray, mask, plan: ClusterPlan
-) -> ClusteredArrayResult:
-    """Lossless clustered run over an (n, d, s) population."""
-    g_ids = np.zeros_like(l_ids)
-    g_counts = np.zeros_like(l_counts)
-    p1 = 0
-    for cid in range(plan.c):
-        idx = np.array(plan.members(cid), dtype=np.int64)
-        res = run_cycle_arrays(l_ids[idx], l_counts[idx], seeds, mask)
-        if not ((res.g_ids == res.g_ids[0]).all() and (res.g_counts == res.g_counts[0]).all()):
-            raise InvariantError(f"cluster {cid} members diverged in phase 1")
-        p1 += res.delivered
-        g_ids[idx] = res.g_ids
-        g_counts[idx] = res.g_counts
-
-    reps = sorted(plan.representatives)
-    ridx = np.array(reps, dtype=np.int64)
-    res = run_cycle_arrays(g_ids[ridx], g_counts[ridx], seeds, mask)
-    rep_g_ids, rep_g_counts = res.g_ids, res.g_counts
-    if not ((rep_g_ids == rep_g_ids[0]).all() and (rep_g_counts == rep_g_counts[0]).all()):
-        raise InvariantError("representatives diverged in phase 2")
-    p2 = res.delivered
-
-    # phase 3: every representative holds the same table, so one replay
-    # rebuilds it for every non-representative
-    n = len(l_ids)
-    rebuilt_ids = np.zeros_like(rep_g_ids[0])
-    rebuilt_counts = np.zeros_like(rep_g_counts[0])
-    entries = _kernels.replay_arrays(
-        rep_g_ids[0], rep_g_counts[0], rebuilt_ids, rebuilt_counts, seeds, mask
-    )
-    query_ids = np.tile(rebuilt_ids, (n, 1, 1))
-    query_counts = np.tile(rebuilt_counts, (n, 1, 1))
-    query_ids[ridx] = rep_g_ids
-    query_counts[ridx] = rep_g_counts
-    p3 = entries * (n - plan.c)  # entries times the sum of |members| - 1
-    if not ((query_ids == query_ids[0]).all() and (query_counts == query_counts[0]).all()):
-        raise InvariantError("query tables diverged after dissemination")
-    return ClusteredArrayResult(query_ids, query_counts, p1 + p2 + p3, (p1, p2, p3))

@@ -19,11 +19,7 @@ sum consistency after every simulated cycle.
 run_cycle drives the object model through a simulated transport (any
 delivery order, optional loss), message by message; a delivery can end a
 round only at its receiver, so only the receiver is checked for
-completion. run_cycle_arrays is the
-lossless bulk equivalent for large configurations: it relies on that order
-independence to compute G-TopK once in closed form and copy it to every
-switch. Differential tests pin the two to identical tables and delivery
-counts.
+completion.
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-import numpy as np
-
-from . import _kernels
 from .flowtable import (
     EMPTY_ID,
     AccessLog,
@@ -45,7 +38,6 @@ from .flowtable import (
     hash_index,
     snapshot_copy,
     table_entries,
-    vector_hash_indices,
 )
 from .precision import LocalTopKState
 
@@ -258,7 +250,7 @@ def _advance(sws, net, todo) -> None:
             sw.end_consolidation()
 
 
-# Invariant checks, object form.
+# Invariant checks.
 
 
 def _dump(table: MultiVectorTable, limit: int = 12) -> str:
@@ -328,76 +320,3 @@ def check_cycle_invariants(switches) -> None:
     check_identical_tables(switches, "g_topk")
     check_identical_tables(switches, "query")
 
-
-# Array engine: same cycle over packed uint64 arrays.
-
-
-@dataclass
-class ArrayCycleResult:
-    snap_ids: np.ndarray
-    snap_counts: np.ndarray
-    sum_counts: np.ndarray
-    g_ids: np.ndarray
-    g_counts: np.ndarray
-    delivered: int
-
-
-def run_cycle_arrays(l_ids: np.ndarray, l_counts: np.ndarray, seeds: np.ndarray, mask) -> ArrayCycleResult:
-    """One lossless cycle over an (n, d, s) switch population."""
-    snap_ids = l_ids.copy()
-    snap_counts = l_counts.copy()
-    sum_counts = snap_counts.copy()
-    delivered = int(_kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts, seeds, mask))
-    g_ids = np.zeros_like(snap_ids)
-    g_counts = np.zeros_like(snap_counts)
-    delivered += int(
-        _kernels.consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, seeds, mask)
-    )
-    return ArrayCycleResult(snap_ids, snap_counts, sum_counts, g_ids, g_counts, delivered)
-
-
-def check_invariants_arrays(res: ArrayCycleResult, seeds: np.ndarray, mask) -> None:
-    """Vectorized post-cycle invariant suite for the array engine."""
-    n, d, s = res.snap_ids.shape
-    if not ((res.g_ids == res.g_ids[0]).all() and (res.g_counts == res.g_counts[0]).all()):
-        raise InvariantError("g_topk arrays differ between switches")
-
-    # sum agreement
-    flat_ids = res.snap_ids.reshape(-1)
-    flat_counts = res.snap_counts.reshape(-1).astype(np.int64)
-    nz = flat_ids != 0
-    uniq, inverse = np.unique(flat_ids[nz], return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, inverse, flat_counts[nz])
-    flat_sum = res.sum_counts.reshape(-1).astype(np.int64)
-    expect = totals[inverse]
-    if not (flat_sum[nz] == expect).all():
-        bad = np.nonzero(flat_sum[nz] != expect)[0][:5]
-        raise InvariantError(f"sum disagreement at flat offsets {bad.tolist()}")
-
-    # placement, per-vector ordering and duplicate freedom on the (shared)
-    # table of switch 0
-    g_ids0 = res.g_ids[0]
-    g_counts0 = res.g_counts[0]
-    for i in range(d):
-        occupied = g_ids0[i] != 0
-        home = vector_hash_indices(g_ids0[i][occupied], int(seeds[i]), int(mask))
-        if not (home == np.nonzero(occupied)[0]).all():
-            raise InvariantError(f"g_topk entry misplaced in vector {i}")
-        if g_counts0[i][~occupied].any():
-            raise InvariantError(f"empty g_topk slot in vector {i} carries a count")
-    for i in range(1, d):
-        occupied = g_ids0[i] != 0
-        ids_i = g_ids0[i][occupied]
-        counts_i = g_counts0[i][occupied]
-        for earlier in range(i):
-            j2 = vector_hash_indices(ids_i, int(seeds[earlier]), int(mask))
-            e_counts = g_counts0[earlier][j2]
-            e_ids = g_ids0[earlier][j2]
-            above = (e_counts > counts_i) | ((e_counts == counts_i) & (e_ids > ids_i))
-            if not above.all():
-                raise InvariantError(f"vector ordering broken between vectors {earlier} and {i}")
-    occ = g_ids0 != 0
-    pairs = np.stack([g_ids0[occ], g_counts0[occ]], axis=1)
-    if len(np.unique(pairs, axis=0)) != len(pairs):
-        raise InvariantError("duplicate (id, count) pairs in g_topk")

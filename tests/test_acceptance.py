@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import full_table, sorted_entries, switch_from_arrays
-from nettopk._kernels import ingest_arrays
+from nettopk._kernels import ingest_arrays, run_clustered_arrays, run_cycle_arrays
 from nettopk.cli import (
     ExperimentConfig,
     load_trace,
@@ -23,7 +23,6 @@ from nettopk.cluster import (
     flat_message_count,
     partition,
     run_clustered,
-    run_clustered_arrays,
 )
 from nettopk.flowtable import (
     AccessLog,
@@ -45,7 +44,6 @@ from nettopk.protocol import (
     check_sum_agreement,
     consolidate_into,
     run_cycle,
-    run_cycle_arrays,
 )
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 from nettopk.workload import SplitPlan, exact_topk, gen_zipf, split_stream
@@ -223,13 +221,12 @@ def test_criterion_5_message_scaling_110x():
     t0 = time.monotonic()
     s = 4096
     seeds = (11, 22)
-    seeds_arr = np.array(seeds, dtype=np.uint64)
-    mask = np.uint64(s - 1)
+    config = TableConfig(d=2, s=s, seeds=seeds)
     entries = 2 * s
     delivered = {}
     for n in (10, 100):
         l_ids, l_counts = _full_population(n, s, seeds)
-        res = run_cycle_arrays(l_ids, l_counts, seeds_arr, mask)
+        res = run_cycle_arrays(l_ids, l_counts, config)
         delivered[n] = res.delivered
         assert int(np.count_nonzero(res.g_ids[0])) == entries  # tables stay full
 
@@ -258,14 +255,13 @@ def test_criterion_6_clustering_reduction():
     t0 = time.monotonic()
     s = 4096
     seeds = (11, 22)
-    seeds_arr = np.array(seeds, dtype=np.uint64)
-    mask = np.uint64(s - 1)
+    config = TableConfig(d=2, s=s, seeds=seeds)
     entries = 2 * s
     n, c = 100, 10
 
     l_ids, l_counts = _full_population(n, s, seeds)
     plan = partition(n, c, seed=3)
-    res = run_clustered_arrays(l_ids, l_counts, seeds_arr, mask, plan)
+    res = run_clustered_arrays(l_ids, l_counts, config, plan)
     analytic = clustered_message_count(n, c, entries)
     flat = flat_message_count(n, entries)
 
@@ -358,13 +354,10 @@ def test_criterion_8_single_switch_degeneracy():
         l_ids = np.zeros((1, cfg.d, cfg.s), dtype=np.uint64)
         l_counts = np.zeros_like(l_ids)
         ingest_arrays(
-            l_ids[0], l_counts[0],
-            np.array(cfg.seeds, dtype=np.uint64), np.uint64(cfg.s - 1),
-            trace.packets.astype(np.uint64), np.uint64(derive_seed(seed, 2)),
+            l_ids[0], l_counts[0], cfg,
+            np.uint64(derive_seed(seed, 2)), trace.packets.astype(np.uint64),
         )
-        res = run_cycle_arrays(
-            l_ids, l_counts, np.array(cfg.seeds, dtype=np.uint64), np.uint64(cfg.s - 1)
-        )
+        res = run_cycle_arrays(l_ids, l_counts, cfg)
         ok &= bool(np.array_equal(res.g_ids[0], l_ids[0]))
         ok &= bool(np.array_equal(res.g_counts[0], l_counts[0]))
         ok &= res.delivered == 0

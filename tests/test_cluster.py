@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import full_table, ingested_switches, switch_from_arrays, table_to_arrays
+from nettopk import _kernels
+from nettopk._kernels import run_clustered_arrays
 from nettopk.cluster import (
     clustered_message_count,
     flat_message_count,
     partition,
     run_clustered,
-    run_clustered_arrays,
 )
 from nettopk.flowtable import TableConfig
-from nettopk.protocol import check_cycle_invariants, run_cycle
+from nettopk.protocol import InvariantError, check_cycle_invariants, run_cycle
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
 CFG = TableConfig(d=2, s=16, seeds=(41, 42))
@@ -123,9 +124,7 @@ def test_clustered_arrays_match_reference():
         l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
     plan = partition(n, 3, seed=11)
     stats = run_clustered(switches, plan, NetworkConfig(n=n, seed=12))
-    res = run_clustered_arrays(
-        l_ids, l_counts, np.array(CFG.seeds, dtype=np.uint64), np.uint64(CFG.s - 1), plan
-    )
+    res = run_clustered_arrays(l_ids, l_counts, CFG, plan)
     assert res.delivered == stats.delivered
     assert res.phase_delivered == (
         stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered
@@ -134,6 +133,41 @@ def test_clustered_arrays_match_reference():
         q_ids, q_counts = table_to_arrays(sw.query)
         assert np.array_equal(res.query_ids[i], q_ids)
         assert np.array_equal(res.query_counts[i], q_counts)
+
+
+@pytest.mark.parametrize(
+    "bad_call, match",
+    [(0, "misplaced"), (1, "misplaced"), (2, "misplaced"), (3, "query tables diverged")],
+)
+def test_clustered_arrays_check_every_phase(monkeypatch, bad_call, match):
+    # _place runs once per phase-1 cluster (calls 0, 1), once for the
+    # representatives (call 2) and once for the phase-3 replay (call 3)
+    n = 8
+    switches = ingested_switches(n, CFG, stream_seed=7, packets_per_switch=200, flows=10)
+    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
+    l_counts = np.zeros_like(l_ids)
+    for i, sw in enumerate(switches):
+        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    plan = partition(n, 2, seed=11)
+    place = _kernels._place
+    calls = []
+
+    def misplace_one(ids, counts, config):
+        out_ids, out_counts = place(ids, counts, config)
+        calls.append(None)
+        if len(calls) - 1 == bad_call:
+            held = np.nonzero(out_ids[0])[0]
+            empty = np.nonzero(out_ids[0] == 0)[0]
+            assert len(held) and len(empty)
+            for a in (out_ids, out_counts):
+                a[0, empty[0]] = a[0, held[0]]
+                a[0, held[0]] = 0
+        return out_ids, out_counts
+
+    monkeypatch.setattr(_kernels, "_place", misplace_one)
+    with pytest.raises(InvariantError, match=match):
+        run_clustered_arrays(l_ids, l_counts, CFG, plan)
+    assert len(calls) == bad_call + 1
 
 
 def test_clustered_with_loss_still_agrees():

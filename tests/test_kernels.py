@@ -10,21 +10,21 @@ the same local tables and require identical tables and delivery counts.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingested_switches, table_to_arrays
 from nettopk import _kernels
-from nettopk.cluster import partition, run_clustered, run_clustered_arrays
+from nettopk._kernels import run_clustered_arrays, run_cycle_arrays
+from nettopk.cluster import partition, run_clustered
 from nettopk.flowtable import TableConfig, hash_index, vector_hash_indices
 from nettopk.precision import LocalTopKState, derive_seed, process_packet
-from nettopk.protocol import run_cycle, run_cycle_arrays
+from nettopk.protocol import run_cycle
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 from nettopk.workload import gen_zipf
 
 CFG = TableConfig(d=2, s=32, seeds=(3, 99))
-SEEDS = np.array(CFG.seeds, dtype=np.uint64)
-MASK = np.uint64(CFG.s - 1)
 
 
 def fresh_tables(n):
@@ -37,7 +37,7 @@ def ingest_population(n, seed):
     for i in range(n):
         tr = gen_zipf(1.0, 1200, 90, seed=seed * 100 + i)
         packets = tr.packets.astype(np.uint64)
-        _kernels.ingest_arrays(l_ids[i], l_counts[i], SEEDS, MASK, packets, 7 + i)
+        _kernels.ingest_arrays(l_ids[i], l_counts[i], CFG, 7 + i, packets)
     return l_ids, l_counts
 
 
@@ -48,15 +48,14 @@ def test_ingest_matches_reference_object_model():
     # d is looped, not parametrized, so the test keeps its one id
     for d in (1, 2, 4):
         config = TableConfig(d=d, s=32, seeds=tuple(derive_seed(22, i) & 0xFFFFFFFF for i in range(d)))
-        seeds = np.array(config.seeds, dtype=np.uint64)
         st = LocalTopKState.create(config, rng_seed=5)
         for fid in packets.tolist():
             process_packet(st, fid)
 
         ids = np.zeros((d, config.s), dtype=np.uint64)
         counts = np.zeros((d, config.s), dtype=np.uint64)
-        state, rc = _kernels.ingest_arrays(ids, counts, seeds, MASK, first, 5)
-        state, rc2 = _kernels.ingest_arrays(ids, counts, seeds, MASK, second, state)
+        state, rc = _kernels.ingest_arrays(ids, counts, config, 5, first)
+        state, rc2 = _kernels.ingest_arrays(ids, counts, config, state, second)
 
         ref_ids, ref_counts = table_to_arrays(st.table)
         assert np.array_equal(ids, ref_ids), d
@@ -65,15 +64,26 @@ def test_ingest_matches_reference_object_model():
         assert rc + rc2 == st.recirculations, d
 
 
+def test_ingest_arrays_rejects_mismatched_rows():
+    packets = np.array([5, 6, 5], dtype=np.uint64)
+    good = np.zeros((CFG.d, CFG.s), dtype=np.uint64)
+    for shape in ((CFG.d, 2 * CFG.s), (CFG.d + 1, CFG.s), (CFG.s,)):
+        bad = np.zeros(shape, dtype=np.uint64)
+        for ids, counts in ((bad, good), (good, bad), (bad, bad.copy())):
+            with pytest.raises(ValueError, match="rows shaped"):
+                _kernels.ingest_arrays(ids, counts, CFG, 1, packets)
+            assert not ids.any() and not counts.any()
+
+
 def test_replay_reproduces_consolidated_table():
     snap_ids, snap_counts = ingest_population(3, seed=33)
     sum_counts = snap_counts.copy()
-    _kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts, SEEDS, MASK)
+    _kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts)
     g_ids, g_counts = fresh_tables(3)
-    _kernels.consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, SEEDS, MASK)
+    _kernels.consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, CFG)
 
     r_ids, r_counts = fresh_tables(1)
-    walked = _kernels.replay_arrays(g_ids[0], g_counts[0], r_ids[0], r_counts[0], SEEDS, MASK)
+    walked = _kernels.replay_arrays(g_ids[0], g_counts[0], r_ids[0], r_counts[0], CFG)
     # a consolidated table replayed into an empty one reproduces itself
     assert np.array_equal(r_ids[0], g_ids[0])
     assert np.array_equal(r_counts[0], g_counts[0])
@@ -82,7 +92,7 @@ def test_replay_reproduces_consolidated_table():
 
 def test_vector_hash_indices_matches_scalar():
     ids = np.array([1, 2, 3, 1000, 2**31], dtype=np.uint64)
-    out = vector_hash_indices(ids, int(SEEDS[0]), int(MASK))
+    out = vector_hash_indices(ids, CFG.seeds[0], CFG.s - 1)
     for fid, j in zip(ids, out):
         assert int(j) == hash_index(CFG, 0, int(fid))
 
@@ -101,10 +111,10 @@ POPULATIONS = dict(
 
 
 def population(d, n, s, flows, seed):
-    """n ingested switches plus the hash seeds and mask of their tables."""
+    """n ingested switches plus the config of their tables."""
     config = TableConfig(d=d, s=s, seeds=tuple(derive_seed(seed, i) & 0xFFFFFFFF for i in range(d)))
     switches = ingested_switches(n, config, stream_seed=seed, packets_per_switch=400, flows=flows)
-    return switches, np.array(config.seeds, dtype=np.uint64), np.uint64(s - 1)
+    return switches, config
 
 
 def stacked(tables):
@@ -115,11 +125,11 @@ def stacked(tables):
 @settings(max_examples=30, deadline=None)
 @given(**POPULATIONS)
 def test_cycle_arrays_match_object_model(d, n, s, flows, drop, order, seed):
-    switches, seeds, mask = population(d, n, s, flows, seed)
+    switches, config = population(d, n, s, flows, seed)
     l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
     net = Network(NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed))
     stats = run_cycle(switches, net)
-    res = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+    res = run_cycle_arrays(l_ids, l_counts, config)
 
     snap_ids, snap_counts = stacked([sw.snapshot for sw in switches])
     sum_ids, sum_counts = stacked([sw.sum for sw in switches])
@@ -136,13 +146,13 @@ def test_cycle_arrays_match_object_model(d, n, s, flows, drop, order, seed):
 @settings(max_examples=20, deadline=None)
 @given(c=st.integers(1, 6), **POPULATIONS)
 def test_clustered_arrays_match_object_model(c, d, n, s, flows, drop, order, seed):
-    switches, seeds, mask = population(d, n, s, flows, seed)
+    switches, config = population(d, n, s, flows, seed)
     plan = partition(n, min(c, n), seed)
     l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
     stats = run_clustered(
         switches, plan, NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed)
     )
-    res = run_clustered_arrays(l_ids, l_counts, seeds, mask, plan)
+    res = run_clustered_arrays(l_ids, l_counts, config, plan)
 
     q_ids, q_counts = stacked([sw.query for sw in switches])
     assert np.array_equal(q_ids, res.query_ids)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import ingested_switches, sorted_entries, table_to_arrays
 from nettopk import cluster
+from nettopk._kernels import check_invariants_arrays, run_cycle_arrays
 from nettopk.cluster import partition, run_clustered
 from nettopk.flowtable import (
     AccessLog,
@@ -28,12 +29,10 @@ from nettopk.protocol import (
     check_cycle_invariants,
     check_gtopk_ordering,
     check_identical_tables,
-    check_invariants_arrays,
     check_no_duplicate_pairs,
     check_sum_agreement,
     consolidate_into,
     run_cycle,
-    run_cycle_arrays,
 )
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
@@ -483,9 +482,8 @@ def test_array_cycle_matches_reference():
     for i, sw in enumerate(switches):
         l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
     run_lossless_cycle(switches)
-    seeds = np.array(CFG.seeds, dtype=np.uint64)
-    res = run_cycle_arrays(l_ids, l_counts, seeds, np.uint64(CFG.s - 1))
-    check_invariants_arrays(res, seeds, np.uint64(CFG.s - 1))
+    res = run_cycle_arrays(l_ids, l_counts, CFG)
+    check_invariants_arrays(res, CFG)
     for i, sw in enumerate(switches):
         g_ids, g_counts = table_to_arrays(sw.g_topk)
         assert np.array_equal(res.g_ids[i], g_ids)
@@ -501,17 +499,15 @@ def test_check_invariants_arrays_detects_tampering():
     l_counts = np.zeros_like(l_ids)
     for i, sw in enumerate(switches):
         l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
-    seeds = np.array(CFG.seeds, dtype=np.uint64)
-    mask = np.uint64(CFG.s - 1)
-    res = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+    res = run_cycle_arrays(l_ids, l_counts, CFG)
     res.g_counts[1][res.g_ids[1] != 0] += 1
     with pytest.raises(InvariantError):
-        check_invariants_arrays(res, seeds, mask)
-    res2 = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+        check_invariants_arrays(res, CFG)
+    res2 = run_cycle_arrays(l_ids, l_counts, CFG)
     occupied = np.nonzero(res2.sum_counts.reshape(-1))[0]
     res2.sum_counts.reshape(-1)[occupied[0]] += 5
     with pytest.raises(InvariantError):
-        check_invariants_arrays(res2, seeds, mask)
+        check_invariants_arrays(res2, CFG)
 
 
 def test_check_invariants_arrays_detects_misplacement():
@@ -521,23 +517,21 @@ def test_check_invariants_arrays_detects_misplacement():
     l_counts = np.zeros_like(l_ids)
     for i, sw in enumerate(switches):
         l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
-    seeds = np.array(CFG.seeds, dtype=np.uint64)
-    mask = np.uint64(CFG.s - 1)
-    res = run_cycle_arrays(l_ids, l_counts, seeds, mask)
-    check_invariants_arrays(res, seeds, mask)
+    res = run_cycle_arrays(l_ids, l_counts, CFG)
+    check_invariants_arrays(res, CFG)
     held = np.nonzero(res.g_ids[0][0])[0]
     empty = np.nonzero(res.g_ids[0][0] == 0)[0]
     assert len(held) and len(empty)
 
     # one vector-0 entry moved to an empty slot, on every switch alike
-    moved = run_cycle_arrays(l_ids, l_counts, seeds, mask)
+    moved = run_cycle_arrays(l_ids, l_counts, CFG)
     for a in (moved.g_ids, moved.g_counts):
         a[:, 0, empty[0]] = a[:, 0, held[0]]
         a[:, 0, held[0]] = 0
     with pytest.raises(InvariantError, match="misplaced"):
-        check_invariants_arrays(moved, seeds, mask)
+        check_invariants_arrays(moved, CFG)
 
     # one empty slot given a count, on every switch alike
     res.g_counts[:, 0, empty[0]] = 7
     with pytest.raises(InvariantError, match="empty g_topk slot"):
-        check_invariants_arrays(res, seeds, mask)
+        check_invariants_arrays(res, CFG)
