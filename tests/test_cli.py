@@ -1,5 +1,11 @@
 """Experiment runner, metrics, CSV reports, and the command line."""
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,3 +202,42 @@ def test_cli_error_paths(tmp_path):
     # zipf without sizes is a config error, reported not raised
     assert main(["run", "--switches", "2", "--zipf", "1.0",
                  "--out", str(tmp_path / "r.csv")]) == 1
+
+
+
+# Run in a fresh process: free blocks left in the heap by earlier tests would
+# serve the allocation below whatever the threshold.
+HEAP_PROBE = """
+import ctypes, sys
+import numpy as np
+from nettopk.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+assert main(["gen-trace", "--zipf", "1.0", "--packets", "10", "--flows", "5",
+             "--seed", "1", "--out", sys.argv[1]]) == 0
+big = np.ones(1 << 20)  # 8 MiB; freeing it would raise glibc's threshold past 1 MiB
+del big
+before = mallinfo2().hblkhd
+block = np.ones(1 << 17)  # 1 MiB
+print(mallinfo2().hblkhd - before, block.nbytes)
+"""
+
+
+def test_main_keeps_large_arrays_out_of_the_heap(tmp_path):
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("C library without mallinfo2")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, str(tmp_path / "t.ntrc")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    mapped, size = map(int, proc.stdout.split()[-2:])
+    assert mapped >= size
