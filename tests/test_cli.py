@@ -204,7 +204,6 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
-
 # Run in a fresh process: free blocks left in the heap by earlier tests would
 # serve the allocation below whatever the threshold.
 HEAP_PROBE = """
