@@ -20,6 +20,8 @@ delivery order, so it is computed once: the distinct (id, count) pairs are
 placed in descending (count, id) order, where no walk ever evicts or swaps
 and each pair lands in the first empty slot on its probe path. Differential
 tests pin the cycles against the object model's message-by-message ones.
+The post-cycle invariant checks are flowtable's, the ones the object model
+runs too.
 
 perfbench/run.py times the engine by rebinding names, which fixes these:
 HAVE_NUMBA, ingest_arrays and the three merge functions are module
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterPlan
-from .flowtable import FieldOrder, MultiVectorTable, TableConfig, vector_hash_indices
+from .flowtable import (FieldOrder, MultiVectorTable, TableConfig, check_gtopk_rows,
+                        check_identical_rows, check_sum_rows, vector_hash_indices)
 from .precision import LocalTopKState, ingest
-from .protocol import InvariantError
 
 # Nothing is jitted; perfbench/run.py still records this in its environment.
 HAVE_NUMBA = False
@@ -136,56 +138,12 @@ def run_cycle_arrays(l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfi
     return ArrayCycleResult(snap_ids, snap_counts, sum_counts, g_ids, g_counts, delivered)
 
 
-def _identical(ids: np.ndarray, counts: np.ndarray) -> bool:
-    """Whether every switch of an (n, d, s) population holds the same table."""
-    return bool((ids == ids[0]).all() and (counts == counts[0]).all())
-
-
 def check_invariants_arrays(res: ArrayCycleResult, config: TableConfig) -> None:
-    """Vectorized post-cycle invariant suite for the array engine."""
-    if not _identical(res.g_ids, res.g_counts):
-        raise InvariantError("g_topk arrays differ between switches")
-
-    # sum agreement
-    flat_ids = res.snap_ids.reshape(-1)
-    flat_counts = res.snap_counts.reshape(-1).astype(np.int64)
-    nz = flat_ids != 0
-    uniq, inverse = np.unique(flat_ids[nz], return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, inverse, flat_counts[nz])
-    flat_sum = res.sum_counts.reshape(-1).astype(np.int64)
-    expect = totals[inverse]
-    if not (flat_sum[nz] == expect).all():
-        bad = np.nonzero(flat_sum[nz] != expect)[0][:5]
-        raise InvariantError(f"sum disagreement at flat offsets {bad.tolist()}")
-
-    # placement, per-vector ordering and duplicate freedom on the (shared)
-    # table of switch 0
-    mask = config.s - 1
-    g_ids0 = res.g_ids[0]
-    g_counts0 = res.g_counts[0]
-    for i, seed in enumerate(config.seeds):
-        occupied = g_ids0[i] != 0
-        home = vector_hash_indices(g_ids0[i][occupied], seed, mask)
-        if not (home == np.nonzero(occupied)[0]).all():
-            raise InvariantError(f"g_topk entry misplaced in vector {i}")
-        if g_counts0[i][~occupied].any():
-            raise InvariantError(f"empty g_topk slot in vector {i} carries a count")
-    for i in range(1, config.d):
-        occupied = g_ids0[i] != 0
-        ids_i = g_ids0[i][occupied]
-        counts_i = g_counts0[i][occupied]
-        for earlier in range(i):
-            j2 = vector_hash_indices(ids_i, config.seeds[earlier], mask)
-            e_counts = g_counts0[earlier][j2]
-            e_ids = g_ids0[earlier][j2]
-            above = (e_counts > counts_i) | ((e_counts == counts_i) & (e_ids > ids_i))
-            if not above.all():
-                raise InvariantError(f"vector ordering broken between vectors {earlier} and {i}")
-    occ = g_ids0 != 0
-    pairs = np.stack([g_ids0[occ], g_counts0[occ]], axis=1)
-    if len(np.unique(pairs, axis=0)) != len(pairs):
-        raise InvariantError("duplicate (id, count) pairs in g_topk")
+    """Post-cycle invariants; Sum has Snapshot's ids by construction, and
+    once every switch holds the same G-TopK table, switch 0's stands for all."""
+    check_sum_rows(res.snap_ids, res.snap_counts, res.snap_ids, res.sum_counts)
+    check_identical_rows(res.g_ids, res.g_counts, "g_topk")
+    check_gtopk_rows(res.g_ids[0], res.g_counts[0], config)
 
 
 @dataclass
@@ -229,6 +187,5 @@ def run_clustered_arrays(
     query_ids[ridx] = rep_g_ids
     query_counts[ridx] = rep_g_counts
     p3 = entries * (n - plan.c)  # entries times the sum of |members| - 1
-    if not _identical(query_ids, query_counts):
-        raise InvariantError("query tables diverged after dissemination")
+    check_identical_rows(query_ids, query_counts, "query")
     return ClusteredArrayResult(query_ids, query_counts, p1 + p2 + p3, (p1, p2, p3))

@@ -8,7 +8,8 @@ each one's phase-1 merged table as its local table. Phase 3 broadcasts the
 representatives' final table back to their members, who rebuild it by
 walking the received entries into an empty table; a consolidated table
 replayed this way reproduces itself exactly, so afterwards every switch in
-the network serves the identical query table.
+the network serves the identical query table. Every phase-1 and phase-2
+cycle and the final query tables pass flowtable's invariant checks.
 
 The message saving comes from replacing one n-wide all-to-all with c
 cluster-local all-to-alls plus a c-wide one plus a linear dissemination.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy
 from .protocol import (
     CycleStats,
-    InvariantError,
     check_cycle_invariants,
+    check_identical_tables,
     consolidate_into,
     run_cycle,
     run_rounds,
@@ -127,7 +128,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
         if others:
             net3 = make_net(members, 3000 + cid)
             reader, count = _slot_reader(final)
-            net3.broadcast(rep, "install", reader, count, receivers=others)
+            net3.broadcast(rep, "install", reader, count)
             rebuilt = {
                 m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
             }
@@ -142,10 +143,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
                 sws[m].query = snapshot_copy(rebuilt[m], FieldOrder.ID_FIRST)
         sws[rep].query = snapshot_copy(final, FieldOrder.ID_FIRST)
 
-    ref = switches[0].query
-    for sw in switches:
-        if not sw.query.equals(ref):
-            raise InvariantError(f"query differs on switch {sw.switch_id} after dissemination")
+    check_identical_tables(switches, "query")
     return ClusteredStats(p1, p2, p3)
 
 

@@ -7,7 +7,11 @@ coordinates in every table on every switch.
 
 Slot (id=0, count=0) is the empty sentinel; traces never contain flow ID 0.
 vector_hash_indices is hash_index over a numpy array of flow IDs, for bulk
-ingest, the array engine and its invariant checks.
+ingest and the array engine.
+
+Both engines run the post-cycle invariant checks written here in numpy, on
+rows given as arrays or nested lists: placement, a valid G-TopK table, Sum
+agreement and identical tables. A message names the slot or the switch.
 
 The AccessLog mechanizes the feed-forward constraint of a switch pipeline:
 stages (vectors) are traversed in order, and within a stage the two fields
@@ -68,6 +72,10 @@ class PipelineOrderError(Exception):
     """An access sequence violated feed-forward stage order."""
 
 
+class InvariantError(AssertionError):
+    """A table invariant failed; the message names the slot or the switch."""
+
+
 @dataclass(frozen=True)
 class TableConfig:
     """Shape and hashing of a table: d vectors of s slots, one seed per vector.
@@ -122,6 +130,80 @@ def vector_hash_indices(ids: np.ndarray, seed: int, mask: int) -> np.ndarray:
     x = mix32_array(ids, seed)
     x &= np.uint64(mask)
     return x.view(np.int64)
+
+
+# Each check raises on its first offender: `for ... in offenders[:1]: raise`.
+
+
+def _rows(ids, counts) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(ids, dtype=np.uint64), np.asarray(counts, dtype=np.uint64)
+
+
+def check_placement_rows(ids, counts, config: TableConfig, name: str = "table") -> None:
+    """Every entry of a (d, s) table sits at its hash index; empty slots count 0."""
+    ids, counts = _rows(ids, counts)
+    for i, seed in enumerate(config.seeds):
+        held = np.flatnonzero(ids[i])
+        for j in held[vector_hash_indices(ids[i, held], seed, config.s - 1) != held][:1]:
+            raise InvariantError(f"{name} entry {ids[i, j]} misplaced at ({i}, {j})")
+    for i, j in np.argwhere((ids == EMPTY_ID) & (counts != EMPTY_COUNT))[:1]:
+        raise InvariantError(f"empty {name} slot ({i}, {j}) carries count {counts[i, j]}")
+
+
+def check_gtopk_rows(ids, counts, config: TableConfig) -> None:
+    """A (d, s) G-TopK table is placed, holds each (id, count) pair once, and
+    each entry is below, in (count, id) order, the earlier slots it probes.
+
+    This order lets each check fail: a pair twice in one vector is also
+    misplaced, and a pair in two vectors also breaks the ordering.
+    """
+    ids, counts = _rows(ids, counts)
+    check_placement_rows(ids, counts, config, "g_topk")
+    vec, slot = np.nonzero(ids)
+    order = np.lexsort((ids[vec, slot], counts[vec, slot]))
+    vec, slot = vec[order], slot[order]
+    pid, pcount = ids[vec, slot], counts[vec, slot]
+    for a in np.flatnonzero((pid[1:] == pid[:-1]) & (pcount[1:] == pcount[:-1]))[:1]:
+        raise InvariantError(f"duplicate g_topk pair ({pid[a]}, {pcount[a]}) at "
+                             f"({vec[a]}, {slot[a]}) and ({vec[a + 1]}, {slot[a + 1]})")
+    for i in range(1, config.d):
+        held = np.flatnonzero(ids[i])
+        fid, fcount = ids[i, held], counts[i, held]
+        for e in range(i):
+            j = vector_hash_indices(fid, config.seeds[e], config.s - 1)
+            below = (counts[e, j] > fcount) | ((counts[e, j] == fcount) & (ids[e, j] > fid))
+            for a in np.flatnonzero(~below)[:1]:
+                raise InvariantError(f"g_topk ordering broken: ({i}, {held[a]}) is not below "
+                                     f"its probe ({e}, {j[a]})")
+
+
+def check_sum_rows(snap_ids, snap_counts, sum_ids, sum_counts, switch_ids=None) -> None:
+    """Over an (n, d, s) population, every Sum slot holds its Snapshot slot's
+    id and, when occupied, that id's total over all Snapshots."""
+    snap_ids, snap_counts = _rows(snap_ids, snap_counts)
+    sum_ids, sum_counts = _rows(sum_ids, sum_counts)
+    names = switch_ids or range(len(snap_ids))
+    for k, i, j in np.argwhere(sum_ids != snap_ids)[:1]:
+        raise InvariantError(f"sum slot ({i}, {j}) on switch {names[k]} holds flow "
+                             f"{sum_ids[k, i, j]}, its snapshot slot {snap_ids[k, i, j]}")
+    held = snap_ids != EMPTY_ID
+    uniq, inverse = np.unique(snap_ids[held], return_inverse=True)
+    totals = np.zeros(len(uniq), dtype=np.uint64)
+    np.add.at(totals, inverse, snap_counts[held])
+    expect = np.zeros_like(sum_counts)
+    expect[held] = totals[inverse]
+    for k, i, j in np.argwhere(held & (sum_counts != expect))[:1]:
+        raise InvariantError(f"sum disagreement at ({i}, {j}) on switch {names[k]}: flow "
+                             f"{sum_ids[k, i, j]} has {sum_counts[k, i, j]}, total {expect[k, i, j]}")
+
+
+def check_identical_rows(ids, counts, name: str, switch_ids=None) -> None:
+    """Every switch of an (n, d, s) population holds the same table."""
+    ids, counts = _rows(ids, counts)
+    names = switch_ids or range(len(ids))
+    for k, i, j in np.argwhere((ids != ids[0]) | (counts != counts[0]))[:1]:
+        raise InvariantError(f"{name} tables diverged: switch {names[k]} differs from "
+                             f"switch {names[0]} at ({i}, {j})")
 
 
 # AccessLog entries: (vector, Field, Mode) tuples, or the RECIRCULATE marker.
@@ -223,18 +305,8 @@ class MultiVectorTable:
         return sum(1 for _ in self.entries())
 
     def check_placement(self) -> None:
-        """Assert every non-empty entry sits at its own hash index."""
-        for i in range(self.config.d):
-            for j in range(self.config.s):
-                fid = self.ids[i][j]
-                if fid != EMPTY_ID:
-                    assert hash_index(self.config, i, fid) == j, (
-                        f"entry {fid} misplaced at ({i},{j})"
-                    )
-                else:
-                    assert self.counts[i][j] == EMPTY_COUNT, (
-                        f"empty slot ({i},{j}) carries count {self.counts[i][j]}"
-                    )
+        """Raise InvariantError unless check_placement_rows holds."""
+        check_placement_rows(self.ids, self.counts, self.config)
 
     def equals(self, other: "MultiVectorTable") -> bool:
         return self.ids == other.ids and self.counts == other.counts

@@ -13,8 +13,8 @@ so they are legal in a feed-forward pipeline without recirculation.
 The consolidation walk orders slots by (count, id) lexicographically;
 together with exactly-once delivery this makes the final G-TopK identical
 on every switch regardless of message interleaving. check_cycle_invariants
-verifies that agreement, the per-vector ordering, duplicate freedom, and
-sum consistency after every simulated cycle.
+runs flowtable's post-cycle checks, shared with the bulk engine, on the
+switches' tables after every simulated cycle.
 
 run_cycle drives the object model through a simulated transport (any
 delivery order, optional loss), message by message; a delivery can end a
@@ -33,11 +33,14 @@ from .flowtable import (
     AccessLog,
     FieldOrder,
     FlowEntry,
+    InvariantError,
     MultiVectorTable,
     TableConfig,
+    check_gtopk_rows,
+    check_identical_rows,
+    check_sum_rows,
     hash_index,
     snapshot_copy,
-    table_entries,
 )
 from .precision import LocalTopKState
 
@@ -55,10 +58,6 @@ class Round(IntEnum):
 
 class PhaseError(Exception):
     """An operation was invoked outside its allowed round phase."""
-
-
-class InvariantError(AssertionError):
-    """A protocol invariant failed; message carries a table diagnostic."""
 
 
 def consolidate_into(
@@ -125,7 +124,8 @@ class SwitchState:
     def handle_aggregation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         """Add a received count to Sum where Snapshot holds the same id."""
         self._require(RoundPhase.AGGREGATION, "handle_aggregation_packet")
-        assert sender != self.switch_id
+        if sender == self.switch_id:
+            raise InvariantError(f"switch {sender} received its own packet")
         fid = entry.id
         for i in range(self.config.d):
             j = hash_index(self.config, i, fid)
@@ -144,7 +144,8 @@ class SwitchState:
 
     def handle_consolidation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         self._require(RoundPhase.CONSOLIDATION, "handle_consolidation_packet")
-        assert sender != self.switch_id
+        if sender == self.switch_id:
+            raise InvariantError(f"switch {sender} received its own packet")
         consolidate_into(self.g_topk, entry.id, entry.count, log)
 
     def end_consolidation(self) -> None:
@@ -201,7 +202,8 @@ def run_rounds(switches, net) -> CycleStats:
     from an explicit source.
     """
     sws = {sw.switch_id: sw for sw in switches}
-    assert set(sws) == set(net.participants), "transport participants mismatch"
+    if set(sws) != set(net.participants):
+        raise InvariantError("transport participants mismatch")
     base_delivered = net.delivered_count
     base_dropped = net.dropped_count
     for sw in sws.values():
@@ -218,7 +220,8 @@ def run_rounds(switches, net) -> CycleStats:
                 sw.handle_consolidation_packet(msg.sender, msg.entry)
             _advance(sws, net, (msg.receiver,))
     for sw in sws.values():
-        assert sw.phase is RoundPhase.IDLE, f"switch {sw.switch_id} stuck in {sw.phase}"
+        if sw.phase is not RoundPhase.IDLE:
+            raise InvariantError(f"switch {sw.switch_id} stuck in {sw.phase.value}")
     return CycleStats(
         delivered=net.delivered_count - base_delivered,
         dropped=net.dropped_count - base_dropped,
@@ -250,73 +253,29 @@ def _advance(sws, net, todo) -> None:
             sw.end_consolidation()
 
 
-# Invariant checks.
+# Invariant checks: adapters passing the switches' rows to flowtable's.
 
 
-def _dump(table: MultiVectorTable, limit: int = 12) -> str:
-    items = table_entries(table)[:limit]
-    return ", ".join(f"({e.id}:{e.count})" for e in items)
+def _population(switches, attr: str) -> tuple[list, list]:
+    return [getattr(sw, attr).ids for sw in switches], [getattr(sw, attr).counts for sw in switches]
 
 
 def check_sum_agreement(switches) -> None:
-    """Every Sum count equals the network-wide total of Snapshot counts for that id."""
-    totals: dict[int, int] = {}
-    for sw in switches:
-        for e in sw.snapshot.entries():
-            totals[e.id] = totals.get(e.id, 0) + e.count
-    for sw in switches:
-        for e in sw.sum.entries():
-            if e.count != totals[e.id]:
-                raise InvariantError(
-                    f"sum disagreement on switch {sw.switch_id}: flow {e.id} has {e.count}, "
-                    f"network total {totals[e.id]}; sum=[{_dump(sw.sum)}]"
-                )
-
-
-def check_gtopk_ordering(table: MultiVectorTable) -> None:
-    """Each entry is lexicographically below the occupants of its earlier probes."""
-    config = table.config
-    for i in range(config.d):
-        for j in range(config.s):
-            fid = table.ids[i][j]
-            if fid == EMPTY_ID:
-                continue
-            key = (table.counts[i][j], fid)
-            for earlier in range(i):
-                j2 = hash_index(config, earlier, fid)
-                other = (table.counts[earlier][j2], table.ids[earlier][j2])
-                if not other > key:
-                    raise InvariantError(
-                        f"vector ordering broken: ({i},{j})={key} vs ({earlier},{j2})={other}"
-                    )
-
-
-def check_no_duplicate_pairs(table: MultiVectorTable) -> None:
-    pairs = table_entries(table)
-    if len(pairs) != len(set(pairs)):
-        raise InvariantError(f"duplicate pairs in table: [{_dump(table, 32)}]")
+    """Every Sum slot holds its Snapshot's id and that id's network-wide total."""
+    ids = [sw.switch_id for sw in switches]
+    check_sum_rows(*_population(switches, "snapshot"), *_population(switches, "sum"), ids)
 
 
 def check_identical_tables(switches, attr: str) -> None:
-    ref_sw = switches[0]
-    ref = getattr(ref_sw, attr)
-    for sw in switches[1:]:
-        t = getattr(sw, attr)
-        if not ref.equals(t):
-            raise InvariantError(
-                f"{attr} differs between switches {ref_sw.switch_id} and {sw.switch_id}: "
-                f"[{_dump(ref)}] vs [{_dump(t)}]"
-            )
+    check_identical_rows(*_population(switches, attr), attr, [sw.switch_id for sw in switches])
 
 
 def check_cycle_invariants(switches) -> None:
-    """Full post-cycle invariant suite over a list of switches."""
+    """Full post-cycle invariant suite over a list of switches; once every
+    switch holds the same G-TopK table, the first one's stands for all."""
     switches = list(switches)
     check_sum_agreement(switches)
-    for sw in switches:
-        check_gtopk_ordering(sw.g_topk)
-        check_no_duplicate_pairs(sw.g_topk)
-        sw.g_topk.check_placement()
     check_identical_tables(switches, "g_topk")
+    g_topk = switches[0].g_topk
+    check_gtopk_rows(g_topk.ids, g_topk.counts, g_topk.config)
     check_identical_tables(switches, "query")
-

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .flowtable import FlowEntry
+from .flowtable import FlowEntry, InvariantError
 
 
 class DeliveryOrder(Enum):
@@ -53,33 +53,39 @@ class NetworkConfig:
 
 
 class RoundTracker:
-    """Expected vs delivered message counts per (receiver, sender, round)."""
+    """Expected vs delivered message counts per (receiver, sender, round).
+
+    _left[(receiver, round)] is peers yet to register plus messages yet to
+    arrive; neither term goes negative, so 0 means the round is complete.
+    """
 
     def __init__(self, n_peers: int) -> None:
         self.n_peers = n_peers
         self.expected: dict[tuple, int] = {}
         self.delivered: dict[tuple, int] = {}
-        self._registered: dict[tuple, int] = {}
-        self._pending: dict[tuple, int] = {}
+        self._left: dict[tuple, int] = {}
 
     def register(self, receiver, sender, round_key, count: int) -> None:
         key = (receiver, sender, round_key)
-        assert key not in self.expected, f"duplicate registration {key}"
+        if key in self.expected:
+            raise InvariantError(f"duplicate registration {key}")
         self.expected[key] = count
         self.delivered[key] = 0
         rk = (receiver, round_key)
-        self._registered[rk] = self._registered.get(rk, 0) + 1
-        self._pending[rk] = self._pending.get(rk, 0) + count
+        self._left[rk] = self._left.get(rk, self.n_peers) - 1 + count
 
-    def note_delivery(self, receiver, sender, round_key) -> None:
+    def note_delivery(self, receiver, sender, round_key) -> bool:
+        """Count one delivery; returns whether it completed the receiver's round."""
         key = (receiver, sender, round_key)
         self.delivered[key] += 1
-        assert self.delivered[key] <= self.expected[key], f"over-delivery at {key}"
-        self._pending[(receiver, round_key)] -= 1
+        if self.delivered[key] > self.expected[key]:
+            raise InvariantError(f"over-delivery at {key}")
+        rk = (receiver, round_key)
+        self._left[rk] -= 1
+        return self._left[rk] == 0
 
     def complete(self, receiver, round_key) -> bool:
-        rk = (receiver, round_key)
-        return self._registered.get(rk, 0) == self.n_peers and self._pending.get(rk, 0) == 0
+        return self._left.get((receiver, round_key), self.n_peers) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +117,8 @@ class Network:
             self.participants = tuple(range(self.config.n))
         else:
             self.participants = tuple(self.participants)
-        assert len(self.participants) == self.config.n
+        if len(self.participants) != self.config.n:
+            raise InvariantError(f"{len(self.participants)} participants, config has n={self.config.n}")
         self.tracker = RoundTracker(n_peers=self.config.n - 1)
         self._rng = random.Random(self.config.seed)
         self._readers: dict[tuple, object] = {}
@@ -163,8 +170,8 @@ class Network:
             for msg in waiting:
                 self._make_ready(msg)
 
-    def broadcast(self, sender, round_key, reader, count: int, requires=None, receivers=None) -> None:
-        """Register and enqueue one round's entries from sender to receivers.
+    def broadcast(self, sender, round_key, reader, count: int, requires=None) -> None:
+        """Register and enqueue one round's entries from sender to every other participant.
 
         reader(seq) re-reads entry seq from the sender's static table; it is
         called once per enqueue, including retransmissions. requires names a
@@ -173,9 +180,9 @@ class Network:
         self._readers[(sender, round_key)] = reader
         if requires is not None:
             prev = self._requires.setdefault(round_key, requires)
-            assert prev == requires
-        if receivers is None:
-            receivers = [p for p in self.participants if p != sender]
+            if prev != requires:
+                raise InvariantError(f"round {round_key} requires {prev}, not {requires}")
+        receivers = [p for p in self.participants if p != sender]
         for receiver in receivers:
             self.tracker.register(receiver, sender, round_key, count)
         for seq in range(count):
@@ -211,7 +218,8 @@ class Network:
         """
         msg = self._pick()
         if msg is None:
-            assert not any(self._blocked.values()), "transport stalled on blocked messages"
+            if any(self._blocked.values()):
+                raise InvariantError("transport stalled on blocked messages")
             return None
         self._time += 1
         if self.config.drop_probability > 0.0 and self._rng.random() < self.config.drop_probability:
@@ -225,9 +233,9 @@ class Network:
         self._log("DELIVER", msg)
         akey = (msg.receiver, msg.sender, msg.round_key, msg.seq)
         self._audit[akey] = self._audit.get(akey, 0) + 1
-        assert self._audit[akey] == 1, f"duplicate delivery {akey}"
-        self.tracker.note_delivery(msg.receiver, msg.sender, msg.round_key)
-        if self.tracker.complete(msg.receiver, msg.round_key):
+        if self._audit[akey] != 1:
+            raise InvariantError(f"duplicate delivery {akey}")
+        if self.tracker.note_delivery(msg.receiver, msg.sender, msg.round_key):
             self._release(msg.receiver, msg.round_key)
         return True, msg
 
@@ -235,12 +243,14 @@ class Network:
         return self.tracker.complete(receiver, round_key)
 
     def audit_exactly_once(self) -> None:
-        """Assert every expected message was delivered exactly once."""
+        """Raise InvariantError unless every expected message was delivered exactly once."""
         for (receiver, sender, round_key), expected in self.tracker.expected.items():
             delivered = self.tracker.delivered[(receiver, sender, round_key)]
-            assert delivered == expected, (
-                f"delivery count mismatch for receiver={receiver} sender={sender} "
-                f"round={round_key}: {delivered} != {expected}"
-            )
+            if delivered != expected:
+                raise InvariantError(
+                    f"delivery count mismatch for receiver={receiver} sender={sender} "
+                    f"round={round_key}: {delivered} != {expected}"
+                )
             for seq in range(expected):
-                assert self._audit.get((receiver, sender, round_key, seq), 0) == 1
+                if self._audit.get((receiver, sender, round_key, seq), 0) != 1:
+                    raise InvariantError(f"message {seq} from {sender} to {receiver} lost")

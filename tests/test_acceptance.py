@@ -32,15 +32,14 @@ from nettopk.flowtable import (
     Mode,
     MultiVectorTable,
     TableConfig,
+    check_gtopk_rows,
     hash_index,
 )
 from nettopk.precision import derive_seed, ingest, local_estimate
 from nettopk.protocol import (
     InvariantError,
     SwitchState,
-    check_gtopk_ordering,
     check_identical_tables,
-    check_no_duplicate_pairs,
     check_sum_agreement,
     consolidate_into,
     run_cycle,
@@ -106,9 +105,7 @@ def agreement_trials():
             try:
                 check_sum_agreement(switches)
                 for sw in switches:
-                    check_gtopk_ordering(sw.g_topk)
-                    check_no_duplicate_pairs(sw.g_topk)
-                    sw.g_topk.check_placement()
+                    check_gtopk_rows(sw.g_topk.ids, sw.g_topk.counts, cfg)
             except (InvariantError, AssertionError) as exc:
                 lemma_failures.append(f"trial {trial} cycle {cyc}: {exc}")
     return {

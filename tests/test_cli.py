@@ -204,6 +204,12 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
+def _fresh_python(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 # Run in a fresh process: free blocks left in the heap by earlier tests would
 # serve the allocation below whatever the threshold.
 HEAP_PROBE = """
@@ -233,10 +239,47 @@ def test_main_keeps_large_arrays_out_of_the_heap(tmp_path):
         ctypes.CDLL(None).mallinfo2
     except (AttributeError, OSError, TypeError):
         pytest.skip("C library without mallinfo2")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, str(tmp_path / "t.ntrc")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python("-c", HEAP_PROBE, str(tmp_path / "t.ntrc"))
     assert proc.returncode == 0, proc.stderr
     mapped, size = map(int, proc.stdout.split()[-2:])
     assert mapped >= size
+
+
+# python -O strips assert statements, so `nettopk verify` must not rest on them.
+OPTIMIZED_PROBE = """
+import sys
+from nettopk.flowtable import FlowEntry, TableConfig, hash_index
+from nettopk.protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
+from nettopk.transport import Network, NetworkConfig
+
+def outcome(check):
+    try:
+        check()
+    except InvariantError:
+        return "raised"
+    return "passed"
+
+# one of two messages delivered
+net = Network(NetworkConfig(n=2))
+net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)].__getitem__, 2)
+net.step()
+audit = outcome(net.audit_exactly_once)
+
+# the one G-TopK entry moved to an empty vector-0 slot on every switch
+cfg = TableConfig(d=2, s=16, seeds=(31, 77))
+switches = [SwitchState(i, cfg, rng_seed=1) for i in range(2)]
+j = hash_index(cfg, 0, 5)
+for sw in switches:
+    sw.l_topk.table.set_entry(0, j, FlowEntry(5, 10))
+run_cycle(switches, Network(NetworkConfig(n=2)))
+for sw in switches:
+    sw.g_topk.set_entry(0, (j + 1) % cfg.s, FlowEntry(5, 20))
+    sw.g_topk.set_entry(0, j, FlowEntry(0, 0))
+print(sys.flags.optimize, audit, outcome(lambda: check_cycle_invariants(switches)))
+"""
+
+
+def test_checks_raise_under_python_O():
+    proc = _fresh_python("-O", "-c", OPTIMIZED_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "raised", "raised"]

@@ -17,6 +17,7 @@ from nettopk.flowtable import (
     Mode,
     MultiVectorTable,
     TableConfig,
+    check_gtopk_rows,
     hash_index,
     snapshot_copy,
 )
@@ -27,9 +28,7 @@ from nettopk.protocol import (
     RoundPhase,
     SwitchState,
     check_cycle_invariants,
-    check_gtopk_ordering,
     check_identical_tables,
-    check_no_duplicate_pairs,
     check_sum_agreement,
     consolidate_into,
     run_cycle,
@@ -248,7 +247,7 @@ def test_end_aggregation_feeds_own_entries():
     sw.begin_cycle()
     sw.end_aggregation()
     assert set(sorted_entries(sw.g_topk)) == {FlowEntry(4, 9), FlowEntry(5, 7)}
-    check_gtopk_ordering(sw.g_topk)
+    check_gtopk_rows(sw.g_topk.ids, sw.g_topk.counts, CFG)
 
 
 def test_handler_access_logs_are_pipeline_legal():
@@ -437,8 +436,15 @@ def test_check_sum_agreement_detects_disagreement():
     i, j = next(
         (i, j) for i in range(CFG.d) for j in range(CFG.s) if switches[0].sum.ids[i][j]
     )
-    switches[0].sum.write_count(i, j, switches[0].sum.read_count(i, j) + 1)
-    with pytest.raises(InvariantError):
+    count = switches[0].sum.read_count(i, j)
+    switches[0].sum.write_count(i, j, count + 1)
+    with pytest.raises(InvariantError, match="sum disagreement"):
+        check_sum_agreement(switches)
+    # a Sum slot whose id differs from its Snapshot slot's, count intact
+    switches[0].sum.write_count(i, j, count)
+    check_sum_agreement(switches)
+    switches[0].sum.write_id(i, j, switches[0].sum.read_id(i, j) + 1)
+    with pytest.raises(InvariantError, match=f"sum slot \\({i}, {j}\\) on switch 0"):
         check_sum_agreement(switches)
 
 
@@ -446,8 +452,8 @@ def test_check_ordering_detects_inversion():
     g = fresh_gtopk()
     fid = 9
     place(g, 1, fid, 500)  # vector-1 entry whose vector-0 probe is empty
-    with pytest.raises(InvariantError):
-        check_gtopk_ordering(g)
+    with pytest.raises(InvariantError, match="ordering broken"):
+        check_gtopk_rows(g.ids, g.counts, CFG)
 
 
 def test_check_duplicates_detects_pair():
@@ -455,8 +461,8 @@ def test_check_duplicates_detects_pair():
     fid = 9
     g.set_entry(0, hash_index(CFG, 0, fid), FlowEntry(fid, 500))
     g.set_entry(1, hash_index(CFG, 1, fid), FlowEntry(fid, 500))
-    with pytest.raises(InvariantError):
-        check_no_duplicate_pairs(g)
+    with pytest.raises(InvariantError, match="duplicate g_topk pair"):
+        check_gtopk_rows(g.ids, g.counts, CFG)
 
 
 def test_check_identical_tables_detects_divergence():

@@ -192,15 +192,6 @@ def test_tracker_rejects_overdelivery():
         tr.note_delivery(1, 0, "r")
 
 
-def test_broadcast_to_explicit_receivers():
-    net = make_net(4)
-    reader, _ = entries_reader([FlowEntry(1, 5)])
-    net.broadcast(0, "r", reader, 1, receivers=[2, 3])
-    events = drain(net)
-    assert sorted(msg.receiver for _, msg in events) == [2, 3]
-    assert net.round_complete(2, "r") is False  # only 1 of 3 peers registered
-
-
 def test_event_log_format():
     net = make_net(2, drop=0.4, seed=3, record=True)
     reader, _ = entries_reader([FlowEntry(9, 90), FlowEntry(8, 80)])
