@@ -4,9 +4,11 @@ round-completion detection.
 Senders broadcast the entries of a static table. Each enqueued message is
 eventually delivered exactly once: a drop reschedules a retransmission
 that re-reads the same slot from the static source table rather than
-buffering the payload. Receivers learn per-sender expected counts at
-broadcast registration, so round completion is simply delivered == expected
-from every peer.
+buffering the payload. Registration gives each (receiver, sender, round)
+one byte per message, set on delivery; a delivery whose byte is already
+set is a duplicate, and a byte still unset at audit time is a loss. A
+countdown per (receiver, round) of peers yet to register plus messages yet
+to arrive reaches 0 exactly when the round is complete.
 
 A broadcast may declare that its delivery requires the receiver to have
 completed an earlier round (consolidation packets must not reach a switch
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .flowtable import FlowEntry, InvariantError
@@ -52,42 +54,6 @@ class NetworkConfig:
             raise ValueError("drop_probability must be in [0, 1)")
 
 
-class RoundTracker:
-    """Expected vs delivered message counts per (receiver, sender, round).
-
-    _left[(receiver, round)] is peers yet to register plus messages yet to
-    arrive; neither term goes negative, so 0 means the round is complete.
-    """
-
-    def __init__(self, n_peers: int) -> None:
-        self.n_peers = n_peers
-        self.expected: dict[tuple, int] = {}
-        self.delivered: dict[tuple, int] = {}
-        self._left: dict[tuple, int] = {}
-
-    def register(self, receiver, sender, round_key, count: int) -> None:
-        key = (receiver, sender, round_key)
-        if key in self.expected:
-            raise InvariantError(f"duplicate registration {key}")
-        self.expected[key] = count
-        self.delivered[key] = 0
-        rk = (receiver, round_key)
-        self._left[rk] = self._left.get(rk, self.n_peers) - 1 + count
-
-    def note_delivery(self, receiver, sender, round_key) -> bool:
-        """Count one delivery; returns whether it completed the receiver's round."""
-        key = (receiver, sender, round_key)
-        self.delivered[key] += 1
-        if self.delivered[key] > self.expected[key]:
-            raise InvariantError(f"over-delivery at {key}")
-        rk = (receiver, round_key)
-        self._left[rk] -= 1
-        return self._left[rk] == 0
-
-    def complete(self, receiver, round_key) -> bool:
-        return self._left.get((receiver, round_key), self.n_peers) == 0
-
-
 @dataclass(frozen=True, slots=True)
 class Message:
     """One queued copy of entry seq of sender's round_key broadcast."""
@@ -99,28 +65,26 @@ class Message:
     entry: FlowEntry
 
 
-@dataclass
 class Network:
     """Message sequencer for one set of participants."""
 
-    config: NetworkConfig
-    participants: tuple[int, ...] = ()
-    record_events: bool = False
-
-    delivered_count: int = 0
-    dropped_count: int = 0
-    enqueued_count: int = 0
-    events: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.participants:
-            self.participants = tuple(range(self.config.n))
-        else:
-            self.participants = tuple(self.participants)
-        if len(self.participants) != self.config.n:
-            raise InvariantError(f"{len(self.participants)} participants, config has n={self.config.n}")
-        self.tracker = RoundTracker(n_peers=self.config.n - 1)
-        self._rng = random.Random(self.config.seed)
+    def __init__(self, config: NetworkConfig, participants=(), record_events: bool = False) -> None:
+        self.config = config
+        self.participants = tuple(participants) or tuple(range(config.n))
+        if len(self.participants) != config.n:
+            raise InvariantError(f"{len(self.participants)} participants, config has n={config.n}")
+        self.record_events = record_events
+        self.delivered_count = 0
+        self.dropped_count = 0
+        self.enqueued_count = 0
+        self.events: list[str] = []
+        self._rng = random.Random(config.seed)
+        self._peers = config.n - 1
+        # one byte per registered message of (receiver, sender, round), set on delivery
+        self._seen: dict[tuple, bytearray] = {}
+        # per (receiver, round): peers yet to register plus messages yet to
+        # arrive; neither term goes negative, so 0 means the round is complete
+        self._left: dict[tuple, int] = {}
         self._readers: dict[tuple, object] = {}
         self._requires: dict[object, object] = {}
         self._time = 0
@@ -130,8 +94,6 @@ class Network:
         self._rotation: deque = deque()
         # messages waiting on (receiver, prerequisite round)
         self._blocked: dict[tuple, list[Message]] = {}
-        # delivery audit per (receiver, sender, round, seq)
-        self._audit: dict[tuple, int] = {}
 
     # enqueue plumbing
 
@@ -146,7 +108,7 @@ class Network:
         self.enqueued_count += 1
         self._log("ENQ", msg)
         requires = self._requires.get(msg.round_key)
-        if requires is not None and not self.tracker.complete(msg.receiver, requires):
+        if requires is not None and self._left.get((msg.receiver, requires), self._peers):
             self._blocked.setdefault((msg.receiver, requires), []).append(msg)
             return
         self._make_ready(msg)
@@ -177,6 +139,8 @@ class Network:
         called once per enqueue, including retransmissions. requires names a
         round the receiver must have completed before delivery is allowed.
         """
+        if sender not in self.participants:
+            raise InvariantError(f"sender {sender} is not a participant")
         self._readers[(sender, round_key)] = reader
         if requires is not None:
             prev = self._requires.setdefault(round_key, requires)
@@ -184,7 +148,12 @@ class Network:
                 raise InvariantError(f"round {round_key} requires {prev}, not {requires}")
         receivers = [p for p in self.participants if p != sender]
         for receiver in receivers:
-            self.tracker.register(receiver, sender, round_key, count)
+            key = (receiver, sender, round_key)
+            if key in self._seen:
+                raise InvariantError(f"duplicate registration {key}")
+            self._seen[key] = bytearray(count)
+            rk = (receiver, round_key)
+            self._left[rk] = self._left.get(rk, self._peers) - 1 + count
         for seq in range(count):
             entry = reader(seq)
             for receiver in receivers:
@@ -231,26 +200,27 @@ class Network:
             return False, msg
         self.delivered_count += 1
         self._log("DELIVER", msg)
-        akey = (msg.receiver, msg.sender, msg.round_key, msg.seq)
-        self._audit[akey] = self._audit.get(akey, 0) + 1
-        if self._audit[akey] != 1:
-            raise InvariantError(f"duplicate delivery {akey}")
-        if self.tracker.note_delivery(msg.receiver, msg.sender, msg.round_key):
+        seen = self._seen[(msg.receiver, msg.sender, msg.round_key)]
+        if seen[msg.seq]:
+            raise InvariantError(
+                f"duplicate delivery of message {msg.seq} from {msg.sender} to {msg.receiver} "
+                f"in round {msg.round_key}"
+            )
+        seen[msg.seq] = 1
+        rk = (msg.receiver, msg.round_key)
+        self._left[rk] -= 1
+        if not self._left[rk]:
             self._release(msg.receiver, msg.round_key)
         return True, msg
 
     def round_complete(self, receiver, round_key) -> bool:
-        return self.tracker.complete(receiver, round_key)
+        return self._left.get((receiver, round_key), self._peers) == 0
 
     def audit_exactly_once(self) -> None:
-        """Raise InvariantError unless every expected message was delivered exactly once."""
-        for (receiver, sender, round_key), expected in self.tracker.expected.items():
-            delivered = self.tracker.delivered[(receiver, sender, round_key)]
-            if delivered != expected:
-                raise InvariantError(
-                    f"delivery count mismatch for receiver={receiver} sender={sender} "
-                    f"round={round_key}: {delivered} != {expected}"
-                )
-            for seq in range(expected):
-                if self._audit.get((receiver, sender, round_key, seq), 0) != 1:
-                    raise InvariantError(f"message {seq} from {sender} to {receiver} lost")
+        """Raise InvariantError unless every registered message was delivered exactly once."""
+        for (receiver, sender, _), seen in self._seen.items():
+            if 0 in seen:
+                raise InvariantError(f"message {seen.index(0)} from {sender} to {receiver} lost")
+        registered = sum(map(len, self._seen.values()))
+        if self.delivered_count != registered:
+            raise InvariantError(f"{self.delivered_count} deliveries for {registered} registered messages")

@@ -147,4 +147,8 @@ def read_trace(path: str) -> Trace:
         packets = np.frombuffer(payload, dtype="<u4").astype(np.uint32)
     if (packets == 0).any():
         raise ValueError(f"{path}: flow id 0 is reserved")
+    # a larger header is legal: gen_zipf's num_flows is the population size
+    distinct = len(np.unique(packets, return_counts=True)[0])
+    if num_flows < distinct:
+        raise ValueError(f"{path}: header claims {num_flows} flows, packets hold {distinct} distinct ids")
     return Trace(packets=packets, num_flows=num_flows)

@@ -1,9 +1,11 @@
 """Exactly-once broadcast: loss, retransmission, ordering, round gating."""
 
+import tracemalloc
+
 import pytest
 
-from nettopk.flowtable import FlowEntry
-from nettopk.transport import DeliveryOrder, Network, NetworkConfig, RoundTracker
+from nettopk.flowtable import FlowEntry, InvariantError
+from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
 
 def make_net(n, drop=0.0, order=DeliveryOrder.FIFO_PER_PAIR, seed=0, record=False):
@@ -175,21 +177,57 @@ def test_duplicate_round_registration_rejected():
         net.broadcast(0, "r", reader, 1)
 
 
+def test_non_participant_sender_rejected():
+    net = make_net(2)
+    reader, _ = entries_reader([FlowEntry(1, 1)])
+    with pytest.raises(InvariantError, match="sender 5 is not a participant"):
+        net.broadcast(5, "r", reader, 1)
+    # nothing was registered: neither participant's round counts a peer as done
+    assert not net.round_complete(0, "r")
+    assert not net.round_complete(1, "r")
+    assert drain(net) == []
+
+
 def test_audit_flags_incomplete_round():
     net = make_net(2)
     reader, _ = entries_reader([FlowEntry(1, 1), FlowEntry(2, 2)])
     net.broadcast(0, "r", reader, 2)
     net.step()  # deliver only one of two
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="message 1 from 0 to 1 lost"):
         net.audit_exactly_once()
 
 
-def test_tracker_rejects_overdelivery():
-    tr = RoundTracker(n_peers=1)
-    tr.register(1, 0, "r", 1)
-    tr.note_delivery(1, 0, "r")
-    with pytest.raises(AssertionError):
-        tr.note_delivery(1, 0, "r")
+def test_duplicate_delivery_rejected():
+    net = make_net(2)
+    reader, _ = entries_reader([FlowEntry(1, 1), FlowEntry(2, 2)])
+    net.broadcast(0, "r", reader, 2)
+    delivered, msg = net.step()
+    assert delivered
+    net._make_ready(msg)  # a second copy of a delivered message, queued behind seq 1
+    assert net.step()[1].seq == 1
+    with pytest.raises(InvariantError, match="duplicate delivery of message 0 from 0 to 1"):
+        net.step()
+    assert net.step() is None
+    # every byte is set, but one delivery too many was counted
+    with pytest.raises(InvariantError, match="3 deliveries for 2 registered messages"):
+        net.audit_exactly_once()
+
+
+def test_ledger_memory_after_drain():
+    payload = [FlowEntry(i + 1, 1) for i in range(50_000)]
+    reader, _ = entries_reader(payload)
+    tracemalloc.start()
+    try:
+        net = make_net(2, drop=0.2, seed=1)
+        net.broadcast(0, "r", reader, len(payload))
+        while net.step() is not None:
+            pass
+        net.audit_exactly_once()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.delivered_count == len(payload)
+    assert held < 2**20, f"{held / 2**20:.2f} MiB held after a {len(payload)}-message drain"
 
 
 def test_event_log_format():

@@ -217,3 +217,13 @@ def test_trace_file_errors(tmp_path):
     zero_id.write_bytes(good[:-8] + struct.pack("<2I", 0, 2))
     with pytest.raises(ValueError, match="reserved"):
         read_trace(str(zero_id))
+
+    # num_flows may exceed the distinct ids (a population size), never fall short
+    roomy = tmp_path / "g.ntrc"
+    roomy.write_bytes(good)
+    assert read_trace(str(roomy)).num_flows == 3
+    lying = tmp_path / "f.ntrc"
+    lying.write_bytes(struct.pack("<4sBIQ", TRACE_MAGIC, 1, 1, 2) + good[17:])
+    with pytest.raises(ValueError, match="header claims 1 flows, packets hold 2 distinct ids") as exc:
+        read_trace(str(lying))
+    assert str(lying) in str(exc.value)
