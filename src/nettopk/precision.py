@@ -14,6 +14,12 @@ proves pipeline legality; it is the reference. ingest applies it to a
 stream in blocks: each block is hashed once with numpy, then one loop
 works on the table's row lists directly. Both engines ingest through it,
 and tests require it to match a process_packet loop exactly.
+
+d=2, the paper's configuration, has its own ingest loop: both probes are
+unrolled and the splitmix64 step is inlined, which about halves ingest time.
+Every other d runs the general loop. A general-d rewrite (starred unpacking,
+a vector-0 fast path) was slower than the general loop for every d, so the
+general loop stays as it is; a test pins the inlined step to splitmix64.
 """
 
 from __future__ import annotations
@@ -109,7 +115,8 @@ def ingest(state: LocalTopKState, packets) -> None:
 
     The slots of a block of packets are hashed with numpy, then the rule
     runs on the table's row lists with the RNG state and recirculation
-    count held in locals. A flow ID 0 anywhere raises ValueError before
+    count held in locals. d=2 has its own loop with both probes unrolled
+    and splitmix64 inlined. A flow ID 0 anywhere raises ValueError before
     any packet is accounted.
     """
     packets = np.asarray(packets)
@@ -121,28 +128,61 @@ def ingest(state: LocalTopKState, packets) -> None:
     ids, counts = table.ids, table.counts
     rng = state.rng_state
     recirculations = 0
-    for start in range(0, len(packets), INGEST_BLOCK):
-        block = packets[start : start + INGEST_BLOCK]
-        slots = [vector_hash_indices(block, seed, mask).tolist() for seed in config.seeds]
-        for flow_id, probe in zip(block.tolist(), zip(*slots)):
-            min_count = -1
-            for i, j in enumerate(probe):
-                if ids[i][j] == flow_id:
-                    counts[i][j] += 1
-                    break
-                c = counts[i][j]
-                if min_count < 0 or c < min_count:
-                    min_count = c
-                    min_vec = i
-                    min_idx = j
-            else:
-                if min_count > 0:
-                    rng, z = splitmix64(rng)
-                    if z >= _MASK64 // (min_count + 1):
+    if config.d == 2:
+        ids0, ids1 = ids
+        counts0, counts1 = counts
+        seed0, seed1 = config.seeds
+        for start in range(0, len(packets), INGEST_BLOCK):
+            block = packets[start : start + INGEST_BLOCK]
+            s0 = vector_hash_indices(block, seed0, mask).tolist()
+            s1 = vector_hash_indices(block, seed1, mask).tolist()
+            for flow_id, j0, j1 in zip(block.tolist(), s0, s1):
+                if ids0[j0] == flow_id:
+                    counts0[j0] += 1
+                    continue
+                if ids1[j1] == flow_id:
+                    counts1[j1] += 1
+                    continue
+                # vector 1 only when strictly smaller: ties go to vector 0
+                c = counts0[j0]
+                c1 = counts1[j1]
+                if c1 < c:
+                    c, vec_ids, vec_counts, j = c1, ids1, counts1, j1
+                else:
+                    vec_ids, vec_counts, j = ids0, counts0, j0
+                if c:
+                    # splitmix64(rng), inlined
+                    rng = (rng + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    z = ((rng ^ (rng >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                    if z ^ (z >> 31) >= 0xFFFFFFFFFFFFFFFF // (c + 1):
                         continue
                 recirculations += 1
-                ids[min_vec][min_idx] = flow_id
-                counts[min_vec][min_idx] = min_count + 1
+                vec_ids[j] = flow_id
+                vec_counts[j] = c + 1
+    else:
+        for start in range(0, len(packets), INGEST_BLOCK):
+            block = packets[start : start + INGEST_BLOCK]
+            slots = [vector_hash_indices(block, seed, mask).tolist() for seed in config.seeds]
+            for flow_id, probe in zip(block.tolist(), zip(*slots)):
+                min_count = -1
+                for i, j in enumerate(probe):
+                    if ids[i][j] == flow_id:
+                        counts[i][j] += 1
+                        break
+                    c = counts[i][j]
+                    if min_count < 0 or c < min_count:
+                        min_count = c
+                        min_vec = i
+                        min_idx = j
+                else:
+                    if min_count > 0:
+                        rng, z = splitmix64(rng)
+                        if z >= _MASK64 // (min_count + 1):
+                            continue
+                    recirculations += 1
+                    ids[min_vec][min_idx] = flow_id
+                    counts[min_vec][min_idx] = min_count + 1
     state.rng_state = rng
     state.recirculations += recirculations
 

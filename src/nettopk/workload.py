@@ -8,10 +8,16 @@ split_stream models an adversarial placement: packets of the true top-k
 flows go to a uniformly random switch per packet, every other flow has a
 hash-assigned home switch that attracts each of its packets with
 probability `affinity` (the rest go uniformly to the other switches).
-affinity=1 gives every non-top-k flow a dedicated switch.
+affinity=1 gives every non-top-k flow a dedicated switch. The split is
+one pass over the trace in blocks of SPLIT_BLOCK packets: a stable argsort
+(a radix sort while the switch array is 8 or 16 bits wide, up to 65536
+switches) cuts each block into per-switch pieces in trace order.
 
 exact_topk is the ground-truth tally; ties break toward the larger flow ID,
-mirroring the consolidation tie rule.
+mirroring the consolidation tie rule. It reads Trace.tally, one cached
+np.unique per trace that read_trace's distinct-id check and split_stream's
+top-k ids share. A Trace's packets are read-only, so the tally cannot go
+stale.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +36,24 @@ TRACE_MAGIC = b"NTRC"
 TRACE_VERSION = 1
 _HEADER = struct.Struct("<4sBIQ")
 
+# Packets split_stream orders by switch at a time. Bounds the argsort's int64
+# index array, which at trace length would set the process's peak memory.
+SPLIT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Trace:
     packets: np.ndarray  # uint32 flow ids, no zeros
     num_flows: int
+
+    def __post_init__(self) -> None:
+        # tally is cached, so the packets it counts may not change under it
+        self.packets.flags.writeable = False
+
+    @cached_property
+    def tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct flow ids in ascending order and their packet counts."""
+        return np.unique(self.packets, return_counts=True)
 
 
 def gen_zipf(a: float, num_packets: int, num_flows: int, seed: int) -> Trace:
@@ -57,7 +77,7 @@ def exact_topk(trace: Trace, k: int) -> list[FlowEntry]:
     """Exact top-k flows by full tally; ties broken by larger flow ID."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids, tallies = np.unique(trace.packets, return_counts=True)
+    ids, tallies = trace.tally
     order = np.lexsort((-ids.astype(np.int64), -tallies.astype(np.int64)))
     top = order[:k]
     return [FlowEntry(int(ids[i]), int(tallies[i])) for i in top]
@@ -99,8 +119,9 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     top_ids = np.array([e.id for e in exact_topk(trace, plan.k)], dtype=np.uint32)
     rng = np.random.default_rng(derive_seed(plan.seed, 2))
     top_mask = np.isin(packets, top_ids)
-    # int32 halves this trace-length array, which is live at the peak
-    switch = np.empty(len(packets), dtype=np.int32)
+    # the smallest unsigned dtype that holds n-1: 8 or 16 bits lets the
+    # stable argsort below run as a radix sort
+    switch = np.empty(len(packets), dtype=np.min_scalar_type(n - 1))
     switch[top_mask] = rng.integers(0, n, int(top_mask.sum()))
     rest = ~top_mask
     m = int(rest.sum())
@@ -115,8 +136,22 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     dest %= n
     np.copyto(dest, homes, where=stay)
     switch[rest] = dest
-    del homes, stay, dest
-    return [packets[switch == i] for i in range(n)]
+    del homes, stay, dest, top_mask, rest
+    # the stable order keeps each switch's packets in trace order; the empty
+    # first piece serves a trace with no packets
+    pieces = [[packets[:0]] for _ in range(n)]
+    for start in range(0, len(packets), SPLIT_BLOCK):
+        block_switch = switch[start : start + SPLIT_BLOCK]
+        order = np.argsort(block_switch, kind="stable")
+        cuts = np.cumsum(np.bincount(block_switch, minlength=n)[:-1])
+        for parts, piece in zip(pieces, np.split(packets[start : start + SPLIT_BLOCK][order], cuts)):
+            parts.append(piece)
+    del switch
+    streams = []
+    for i in range(n):
+        streams.append(np.concatenate(pieces[i]))
+        pieces[i] = None  # freed as joined: pieces and streams stay one trace long
+    return streams
 
 
 def write_trace(trace: Trace, path: str) -> None:
@@ -141,14 +176,14 @@ def read_trace(path: str) -> Trace:
                 f"{path}: truncated packet data (header claims {num_packets} packets, "
                 f"file holds {held // 4})"
             )
-        payload = fh.read(4 * num_packets)
-        if len(payload) != 4 * num_packets:
+        packets = np.fromfile(fh, dtype="<u4", count=num_packets)
+        if len(packets) != num_packets:
             raise ValueError(f"{path}: truncated packet data")
-        packets = np.frombuffer(payload, dtype="<u4").astype(np.uint32)
     if (packets == 0).any():
         raise ValueError(f"{path}: flow id 0 is reserved")
+    trace = Trace(packets=packets.astype(np.uint32, copy=False), num_flows=num_flows)
     # a larger header is legal: gen_zipf's num_flows is the population size
-    distinct = len(np.unique(packets, return_counts=True)[0])
+    distinct = len(trace.tally[0])
     if num_flows < distinct:
         raise ValueError(f"{path}: header claims {num_flows} flows, packets hold {distinct} distinct ids")
-    return Trace(packets=packets, num_flows=num_flows)
+    return trace

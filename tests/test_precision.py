@@ -238,6 +238,25 @@ def test_ingest_matches_process_packet_loop(d, s, flows, batches, block, seed):
             assert fast.recirculations == ref.recirculations
 
 
+def test_d2_ingest_draws_the_splitmix64_sequence():
+    # ingest's d=2 loop inlines splitmix64; one slot per vector and thousands
+    # of distinct flows make most packets miss both slots and draw
+    config = TableConfig(d=2, s=1, seeds=(3, 4))
+    packets = gen_zipf(0.5, 5000, 2000, seed=21).packets
+    fast = LocalTopKState.create(config, rng_seed=99)
+    ref = LocalTopKState.create(config, rng_seed=99)
+    ingest(fast, packets)
+    draws = 0
+    for fid in packets.tolist():
+        before = ref.rng_state
+        process_packet(ref, fid)
+        draws += ref.rng_state != before
+    assert draws > 1000
+    assert fast.rng_state == ref.rng_state
+    assert fast.recirculations == ref.recirculations
+    assert (fast.table.ids, fast.table.counts) == (ref.table.ids, ref.table.counts)
+
+
 def test_flow_id_zero_rejected_before_any_write():
     st = LocalTopKState.create(CFG, rng_seed=9)
     ingest(st, gen_zipf(1.0, 500, 40, seed=8).packets)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from nettopk.flowtable import FlowEntry
+from nettopk.precision import derive_seed
 from nettopk.workload import (
+    SPLIT_BLOCK,
     TRACE_MAGIC,
     SplitPlan,
     Trace,
@@ -15,6 +17,7 @@ from nettopk.workload import (
     read_trace,
     split_stream,
     write_trace,
+    _home_switches,
 )
 
 
@@ -162,6 +165,48 @@ def test_affinity_zero_never_home():
                 assert plan.home(fid) != sid
 
 
+def _split_reference(trace, plan):
+    # the per-packet switch choice of split_stream, then one full pass over
+    # the trace per switch
+    n = plan.n_switches
+    packets = trace.packets
+    top_ids = np.array([e.id for e in exact_topk(trace, plan.k)], dtype=np.uint32)
+    rng = np.random.default_rng(derive_seed(plan.seed, 2))
+    top_mask = np.isin(packets, top_ids)
+    switch = np.empty(len(packets), dtype=np.int32)
+    switch[top_mask] = rng.integers(0, n, int(top_mask.sum()))
+    rest = ~top_mask
+    m = int(rest.sum())
+    homes = _home_switches(packets[rest], derive_seed(plan.seed, 1), n)
+    stay = rng.random(m) < plan.affinity
+    dest = rng.integers(0, n - 1, m)
+    dest += homes
+    dest += 1
+    dest %= n
+    np.copyto(dest, homes, where=stay)
+    switch[rest] = dest
+    return [packets[switch == i] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 257])  # 257 switches need a uint16 switch array
+@pytest.mark.parametrize("affinity", [0.0, 0.5, 1.0])
+def test_split_matches_one_pass_per_switch(n, affinity):
+    tr = gen_zipf(1.0, 3 * SPLIT_BLOCK + 1000, 5000, seed=n)
+    plan = SplitPlan(k=32, n_switches=n, affinity=affinity, seed=17)
+    streams = split_stream(tr, plan)
+    expected = _split_reference(tr, plan)
+    assert len(streams) == n
+    for got, want in zip(streams, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_split_empty_trace():
+    tr = Trace(packets=np.zeros(0, dtype=np.uint32), num_flows=4)
+    streams = split_stream(tr, SplitPlan(k=2, n_switches=3, affinity=0.5, seed=1))
+    assert [len(s) for s in streams] == [0, 0, 0]
+
+
 def test_split_plan_validation():
     with pytest.raises(ValueError):
         SplitPlan(k=4, n_switches=0, affinity=0.5, seed=1)
@@ -227,3 +272,30 @@ def test_trace_file_errors(tmp_path):
     with pytest.raises(ValueError, match="header claims 1 flows, packets hold 2 distinct ids") as exc:
         read_trace(str(lying))
     assert str(lying) in str(exc.value)
+
+
+def test_trace_packets_are_read_only(tmp_path):
+    # Trace.tally is cached, so the packets under it must not change
+    tr = gen_zipf(1.0, 100, 10, seed=1)
+    path = str(tmp_path / "t.ntrc")
+    write_trace(tr, path)
+    for trace in (tr, read_trace(path)):
+        with pytest.raises(ValueError, match="read-only"):
+            trace.packets[0] = 5
+
+
+def test_one_tally_per_trace(tmp_path, monkeypatch):
+    # read_trace's distinct-id check, the truth and the split's top-k ids
+    # all read one cached np.unique of the trace
+    path = str(tmp_path / "t.ntrc")
+    write_trace(gen_zipf(1.0, 5000, 300, seed=2), path)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+    tr = read_trace(path)
+    assert len(calls) == 1
+    truth = exact_topk(tr, 8)
+    split_stream(tr, SplitPlan(k=8, n_switches=3, affinity=0.5, seed=3))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert truth == exact_topk(Trace(packets=tr.packets.copy(), num_flows=tr.num_flows), 8)
