@@ -11,6 +11,20 @@ for identical configs.
 
 A recorded trace (--trace) is read once per experiment and shared by
 every seed.
+
+perfbench/run.py calls main in process with the run flags --trace,
+--seeds, --switches, --clusters, --vectors, --slots, --k, --affinity,
+--drop, --order, --engine and --out, and times it by rebinding names in
+this module, which fixes these: read_trace, exact_topk, split_stream,
+ingest, run_cycle, run_cycle_arrays, check_cycle_invariants,
+check_invariants_arrays, run_clustered and run_clustered_arrays are module
+attributes, called as globals here. ingest takes the switch's
+LocalTopKState first; run_cycle and run_clustered take the switches first,
+run_clustered_arrays the l_ids array; their results keep the fields the
+benchmark reads (delivered, phase1..phase3, and those _kernels lists).
+CSV_HEADER, _choose_engine and the ExperimentConfig fields n_switches,
+clusters, d, s, k, seeds, trace_path, affinity, drop_probability and
+engine keep their names.
 """
 
 from __future__ import annotations
@@ -70,9 +84,12 @@ class ExperimentConfig:
     engine: str = "auto"  # auto | reference | arrays
 
     def __post_init__(self) -> None:
-        TableConfig(d=self.d, s=self.s, seeds=(0,) * self.d)  # raises on a bad table shape
-        if self.k > self.d * self.s:
-            raise ValueError("k must fit in the table (k <= d*s)")
+        # the validators of the objects a run builds from these fields
+        TableConfig(d=self.d, s=self.s, seeds=(0,) * self.d)
+        NetworkConfig(n=self.n_switches, drop_probability=self.drop_probability)
+        SplitPlan(k=self.k, n_switches=self.n_switches, affinity=self.affinity, seed=0)
+        if not 1 <= self.k <= self.d * self.s:
+            raise ValueError("k must be in [1, d*s]")
         if (self.zipf_a is None) == (self.trace_path is None):
             raise ValueError("exactly one of zipf_a or trace_path must be set")
         if self.zipf_a is not None and (self.num_packets < 1 or self.num_flows < 1):

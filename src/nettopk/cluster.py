@@ -18,7 +18,7 @@ cluster-local all-to-alls plus a c-wide one plus a linear dissemination.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy
 from .protocol import (
@@ -87,15 +87,9 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
     every switch's query table holds the same network-wide result.
     """
     sws = {sw.switch_id: sw for sw in switches}
-    phase_seed = net_config.seed
 
     def make_net(participants, offset):
-        cfg = NetworkConfig(
-            n=len(participants),
-            drop_probability=net_config.drop_probability,
-            delivery_order=net_config.delivery_order,
-            seed=phase_seed + offset,
-        )
+        cfg = replace(net_config, n=len(participants), seed=net_config.seed + offset)
         return Network(cfg, participants=tuple(participants))
 
     p1 = CycleStats(0, 0)
@@ -118,7 +112,8 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
     net2.audit_exactly_once()
     check_cycle_invariants([sws[r] for r in reps])
 
-    # phase 3: representatives disseminate the final table to their clusters
+    # phase 3: representatives, whose query tables phase 2 already set,
+    # disseminate the final table to their clusters
     p3 = CycleStats(0, 0)
     for cid in range(plan.c):
         rep = plan.representatives[cid]
@@ -141,7 +136,6 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
             p3.dropped += net3.dropped_count
             for m in others:
                 sws[m].query = snapshot_copy(rebuilt[m], FieldOrder.ID_FIRST)
-        sws[rep].query = snapshot_copy(final, FieldOrder.ID_FIRST)
 
     check_identical_tables(switches, "query")
     return ClusteredStats(p1, p2, p3)

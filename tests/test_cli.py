@@ -68,6 +68,17 @@ def test_config_validation():
         small_config(engine="arrays", drop_probability=0.1)
     with pytest.raises(ValueError):
         small_config(s=1000)  # s not a power of two
+    # flags the run would use only after making or reading the trace, or never
+    with pytest.raises(ValueError, match="drop_probability"):
+        small_config(drop_probability=-0.5)
+    with pytest.raises(ValueError, match="drop_probability"):
+        small_config(drop_probability=1.0)
+    with pytest.raises(ValueError, match="k must be"):
+        small_config(k=0)
+    with pytest.raises(ValueError, match="affinity"):
+        small_config(affinity=2.0)
+    with pytest.raises(ValueError, match="at least one switch"):
+        small_config(n_switches=0)
 
 
 def test_run_seed_pinned_result():

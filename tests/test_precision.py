@@ -212,17 +212,17 @@ def test_zipf_recall_of_local_table():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    d=st.integers(1, 4),
     s=st.sampled_from([1, 2, 16, 64]),
     flows=st.integers(1, 40),
     batches=st.lists(st.integers(0, 300), min_size=1, max_size=4),
     block=st.sampled_from([1, 3, 8]),
     seed=st.integers(0, 2**16),
 )
-def test_ingest_matches_process_packet_loop(d, s, flows, batches, block, seed):
-    # small flow sets against small tables force collisions, count ties and
-    # random replacement draws; a small block makes batches cross boundaries
-    config = TableConfig(d=d, s=s, seeds=tuple(derive_seed(seed, i) & 0xFFFFFFFF for i in range(d)))
+def test_ingest_matches_process_packet_loop(s, flows, batches, block, seed):
+    # d=2 is the only d with a bulk loop; small flow sets against small
+    # tables force collisions, count ties and random replacement draws, and
+    # a small block makes batches cross boundaries
+    config = TableConfig(d=2, s=s, seeds=tuple(derive_seed(seed, i) & 0xFFFFFFFF for i in range(2)))
     fast = LocalTopKState.create(config, rng_seed=seed)
     ref = LocalTopKState.create(config, rng_seed=seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -255,6 +255,27 @@ def test_d2_ingest_draws_the_splitmix64_sequence():
     assert fast.rng_state == ref.rng_state
     assert fast.recirculations == ref.recirculations
     assert (fast.table.ids, fast.table.counts) == (ref.table.ids, ref.table.counts)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_other_d_ingest_is_a_process_packet_loop(d, monkeypatch):
+    monkeypatch.setattr(precision, "INGEST_BLOCK", 64)
+    config = TableConfig(d=d, s=16, seeds=tuple(derive_seed(d, i) & 0xFFFFFFFF for i in range(d)))
+    packets = gen_zipf(1.0, 2000, 300, seed=d).packets
+    fast = LocalTopKState.create(config, rng_seed=d)
+    ref = LocalTopKState.create(config, rng_seed=d)
+    ingest(fast, packets)
+    for fid in packets.tolist():
+        process_packet(ref, fid)
+    assert ref.rng_state != d  # some packets drew for a replacement
+    assert (fast.table.ids, fast.table.counts) == (ref.table.ids, ref.table.counts)
+    assert (fast.rng_state, fast.recirculations) == (ref.rng_state, ref.recirculations)
+    # a zero after several blocks of packets raises before any of them is accounted
+    late_zero = np.concatenate([packets[:1000], np.zeros(1, dtype=packets.dtype), packets[:10]])
+    with pytest.raises(ValueError, match="flow id 0"):
+        ingest(fast, late_zero)
+    assert (fast.table.ids, fast.table.counts) == (ref.table.ids, ref.table.counts)
+    assert (fast.rng_state, fast.recirculations) == (ref.rng_state, ref.recirculations)
 
 
 def test_flow_id_zero_rejected_before_any_write():
