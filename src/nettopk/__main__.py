@@ -1,0 +1,8 @@
+"""`python -m nettopk`: the nettopk command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -44,7 +44,7 @@ from .flowtable import TableConfig, memory_bytes
 from .precision import derive_seed, ingest
 from .protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
-from .workload import SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
+from .workload import MAX_FLOWS, SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
 
 CSV_HEADER = "seed,n,clusters,d,s,k,zipf,packets,flows,affinity,drop,recall,messages,memory_bytes,recirculations"
 
@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of zipf_a or trace_path must be set")
         if self.zipf_a is not None and (self.num_packets < 1 or self.num_flows < 1):
             raise ValueError("zipf traces need num_packets and num_flows")
+        if self.num_flows > MAX_FLOWS:
+            raise ValueError(f"--flows must be at most {MAX_FLOWS}: flow ids are uint32")
         if not 1 <= self.clusters <= self.n_switches:
             raise ValueError("clusters must be in [1, n_switches]")
         if not self.seeds:

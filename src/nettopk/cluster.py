@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .flowtable import FieldOrder, MultiVectorTable, snapshot_copy
+from .flowtable import FieldOrder, MultiVectorTable, SlotMap, snapshot_copy
 from .protocol import (
     CycleStats,
     check_cycle_invariants,
@@ -127,10 +127,11 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
             rebuilt = {
                 m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
             }
+            slots = SlotMap(final.config, [final])
             while (ev := net3.step()) is not None:
                 delivered, msg = ev
                 if delivered:
-                    consolidate_into(rebuilt[msg.receiver], msg.entry.id, msg.entry.count)
+                    consolidate_into(rebuilt[msg.receiver], msg.entry.id, msg.entry.count, slots=slots)
             net3.audit_exactly_once()
             p3.delivered += net3.delivered_count
             p3.dropped += net3.dropped_count

@@ -7,7 +7,8 @@ coordinates in every table on every switch.
 
 Slot (id=0, count=0) is the empty sentinel; traces never contain flow ID 0.
 vector_hash_indices is hash_index over a numpy array of flow IDs, for bulk
-ingest and the array engine.
+ingest and the array engine. A SlotMap holds the slot indices of every id
+in a set of tables, hashed once, for the object model's message handlers.
 
 Both engines run the post-cycle invariant checks written here in numpy, on
 rows given as arrays or nested lists: placement, a valid G-TopK table, Sum
@@ -130,6 +131,31 @@ def vector_hash_indices(ids: np.ndarray, seed: int, mask: int) -> np.ndarray:
     x = mix32_array(ids, seed)
     x &= np.uint64(mask)
     return x.view(np.int64)
+
+
+class SlotMap(dict):
+    """Flow id -> tuple of its slot index in each vector.
+
+    Built over the ids held by some tables, hashed in bulk with
+    vector_hash_indices; an id none of them holds is hashed with hash_index
+    on each lookup and not stored, so an empty SlotMap hashes every id.
+    """
+
+    __slots__ = ("config",)
+
+    def __init__(self, config: TableConfig, tables=()) -> None:
+        super().__init__()
+        self.config = config
+        ids = {fid for t in tables for row in t.ids for fid in row}
+        ids.discard(EMPTY_ID)
+        if ids:
+            ids = list(ids)
+            arr = np.array(ids, dtype=np.uint64)
+            cols = [vector_hash_indices(arr, seed, config.s - 1).tolist() for seed in config.seeds]
+            self.update(zip(ids, zip(*cols)))
+
+    def __missing__(self, fid: int) -> tuple[int, ...]:
+        return tuple(hash_index(self.config, i, fid) for i in range(self.config.d))
 
 
 # Each check raises on its first offender: `for ... in offenders[:1]: raise`.

@@ -17,9 +17,11 @@ runs flowtable's post-cycle checks, shared with the bulk engine, on the
 switches' tables after every simulated cycle.
 
 run_cycle drives the object model through a simulated transport (any
-delivery order, optional loss), message by message; a delivery can end a
-round only at its receiver, so only the receiver is checked for
-completion.
+delivery order, optional loss), message by message. A delivery can end a
+round only at its receiver, and the transport counts each delivery that
+does, so run_rounds checks a switch for completion only after such a
+delivery, never after the others. Every id a cycle's messages carry is
+hashed once, into a SlotMap that all participants share.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .flowtable import (
     FlowEntry,
     InvariantError,
     MultiVectorTable,
+    SlotMap,
     TableConfig,
     check_gtopk_rows,
     check_identical_rows,
     check_sum_rows,
-    hash_index,
     snapshot_copy,
 )
 from .precision import LocalTopKState
@@ -61,7 +63,11 @@ class PhaseError(Exception):
 
 
 def consolidate_into(
-    table: MultiVectorTable, pid: int, pcount: int, log: AccessLog | None = None
+    table: MultiVectorTable,
+    pid: int,
+    pcount: int,
+    log: AccessLog | None = None,
+    slots: SlotMap | None = None,
 ) -> None:
     """Walk one (id, count) pair through a COUNT_FIRST table.
 
@@ -71,10 +77,15 @@ def consolidate_into(
     with a larger id swaps the stored id and carries the smaller one.
     Otherwise the slot is untouched and the pair moves on. A pair still
     carried past the last vector is discarded.
+
+    slots maps each id the walk carries, the pair's or one it evicts from
+    the table, to its slot indices; without it, each id is hashed as it
+    comes.
     """
-    config = table.config
-    for i in range(config.d):
-        j = hash_index(config, i, pid)
+    if slots is None:
+        slots = SlotMap(table.config)
+    for i in range(table.config.d):
+        j = slots[pid][i]
         scount = table.read_count(i, j, log)
         if pcount > scount:
             table.write_count(i, j, pcount, log)
@@ -106,6 +117,9 @@ class SwitchState:
         self.sum = MultiVectorTable(config, FieldOrder.ID_FIRST)
         self.g_topk = MultiVectorTable(config, FieldOrder.COUNT_FIRST)
         self.query = MultiVectorTable(config, FieldOrder.ID_FIRST)
+        # slot indices of ids; run_rounds shares one map of the ids its
+        # messages carry among the participants for the cycle's length
+        self.slots = SlotMap(config)
         self.phase = RoundPhase.IDLE
 
     def _require(self, phase: RoundPhase, op: str) -> None:
@@ -127,8 +141,7 @@ class SwitchState:
         if sender == self.switch_id:
             raise InvariantError(f"switch {sender} received its own packet")
         fid = entry.id
-        for i in range(self.config.d):
-            j = hash_index(self.config, i, fid)
+        for i, j in enumerate(self.slots[fid]):
             if self.snapshot.read_id(i, j, log) == fid:
                 c = self.sum.read_count(i, j, log)
                 self.sum.write_count(i, j, c + entry.count, log)
@@ -140,13 +153,13 @@ class SwitchState:
         self._require(RoundPhase.AGGREGATION, "end_aggregation")
         self.phase = RoundPhase.CONSOLIDATION
         for e in self.sum.entries():
-            consolidate_into(self.g_topk, e.id, e.count)
+            consolidate_into(self.g_topk, e.id, e.count, slots=self.slots)
 
     def handle_consolidation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         self._require(RoundPhase.CONSOLIDATION, "handle_consolidation_packet")
         if sender == self.switch_id:
             raise InvariantError(f"switch {sender} received its own packet")
-        consolidate_into(self.g_topk, entry.id, entry.count, log)
+        consolidate_into(self.g_topk, entry.id, entry.count, log, self.slots)
 
     def end_consolidation(self) -> None:
         self._require(RoundPhase.CONSOLIDATION, "end_consolidation")
@@ -155,8 +168,7 @@ class SwitchState:
 
     def query_flow(self, flow_id: int) -> int | None:
         """Stored global count for flow_id in the Query table, else None."""
-        for i in range(self.config.d):
-            j = hash_index(self.config, i, flow_id)
+        for i, j in enumerate(self.slots[flow_id]):
             if self.query.read_id(i, j) == flow_id:
                 return self.query.read_count(i, j)
         return None
@@ -199,17 +211,24 @@ def run_rounds(switches, net) -> CycleStats:
     """Broadcast the switches' snapshots and deliver both rounds until idle.
 
     Each switch must already have begun its cycle, from its local table or
-    from an explicit source.
+    from an explicit source. Every id a message or a consolidation walk
+    carries sits in some participant's Snapshot, so one SlotMap over the
+    Snapshots, shared by all participants, hashes each id once. The
+    switches drop it when the cycle ends.
     """
     sws = {sw.switch_id: sw for sw in switches}
     if set(sws) != set(net.participants):
         raise InvariantError("transport participants mismatch")
+    slots = SlotMap(next(iter(sws.values())).config, [sw.snapshot for sw in sws.values()])
+    for sw in sws.values():
+        sw.slots = slots
     base_delivered = net.delivered_count
     base_dropped = net.dropped_count
     for sw in sws.values():
         reader, count = _slot_reader(sw.snapshot)
         net.broadcast(sw.switch_id, Round.AGG, reader, count)
     _advance(sws, net, sws)
+    completed = net.rounds_completed
     while (ev := net.step()) is not None:
         delivered, msg = ev
         if delivered:
@@ -218,10 +237,13 @@ def run_rounds(switches, net) -> CycleStats:
                 sw.handle_aggregation_packet(msg.sender, msg.entry)
             else:
                 sw.handle_consolidation_packet(msg.sender, msg.entry)
-            _advance(sws, net, (msg.receiver,))
+            if net.rounds_completed != completed:
+                completed = net.rounds_completed
+                _advance(sws, net, (msg.receiver,))
     for sw in sws.values():
         if sw.phase is not RoundPhase.IDLE:
             raise InvariantError(f"switch {sw.switch_id} stuck in {sw.phase.value}")
+        sw.slots = SlotMap(sw.config)
     return CycleStats(
         delivered=net.delivered_count - base_delivered,
         dropped=net.dropped_count - base_dropped,
@@ -234,10 +256,12 @@ def _advance(sws, net, todo) -> None:
     A (receiver, round) completes only when a message is delivered to the
     receiver or a peer registers a zero-entry broadcast to it. So run_rounds
     checks every switch once after the AGG broadcasts, and then only the
-    receiver of each delivery. A switch that ends aggregation re-checks
-    itself (its peers' CONS broadcasts to it may all have been empty) and,
-    if its own CONS broadcast is empty, its peers. todo is first in, first
-    out, so CONS broadcasts are registered in the order AGG rounds complete.
+    receiver of a delivery that completed its round, which the transport
+    reports by counting it in rounds_completed. A switch that ends
+    aggregation re-checks itself (its peers' CONS broadcasts to it may all
+    have been empty) and, if its own CONS broadcast is empty, its peers.
+    todo is first in, first out, so CONS broadcasts are registered in the
+    order AGG rounds complete.
     """
     todo = deque(todo)
     while todo:

@@ -22,7 +22,10 @@ Everything is deterministic given the config seed.
 
 Each step() delivers or drops exactly one message and returns
 (delivered, message), where message is the queued Message itself; it
-returns None once nothing is deliverable.
+returns None once nothing is deliverable. A delivery that completes its
+receiver's round also adds 1 to rounds_completed, so a caller learns of
+each completion from the step that caused it, without asking
+round_complete after every delivery.
 """
 
 from __future__ import annotations
@@ -54,9 +57,14 @@ class NetworkConfig:
             raise ValueError("drop_probability must be in [0, 1)")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
-    """One queued copy of entry seq of sender's round_key broadcast."""
+    """One queued copy of entry seq of sender's round_key broadcast.
+
+    Not frozen: a frozen dataclass's __init__ sets each field through
+    object.__setattr__, and a Message is built on every enqueue and every
+    retransmission. Nothing changes a Message once it is queued.
+    """
 
     receiver: int
     sender: int
@@ -77,8 +85,12 @@ class Network:
         self.delivered_count = 0
         self.dropped_count = 0
         self.enqueued_count = 0
+        # deliveries that completed their receiver's round
+        self.rounds_completed = 0
         self.events: list[str] = []
         self._rng = random.Random(config.seed)
+        self._drop = config.drop_probability
+        self._random_order = config.delivery_order is DeliveryOrder.RANDOM
         self._peers = config.n - 1
         # one byte per registered message of (receiver, sender, round), set on delivery
         self._seen: dict[tuple, bytearray] = {}
@@ -98,15 +110,15 @@ class Network:
     # enqueue plumbing
 
     def _log(self, kind: str, msg: Message) -> None:
-        if self.record_events:
-            self.events.append(
-                f"{self._time},{kind},{msg.round_key},{msg.sender},{msg.receiver},"
-                f"{msg.entry.id},{msg.entry.count}"
-            )
+        self.events.append(
+            f"{self._time},{kind},{msg.round_key},{msg.sender},{msg.receiver},"
+            f"{msg.entry.id},{msg.entry.count}"
+        )
 
     def _enqueue(self, msg: Message) -> None:
         self.enqueued_count += 1
-        self._log("ENQ", msg)
+        if self.record_events:
+            self._log("ENQ", msg)
         requires = self._requires.get(msg.round_key)
         if requires is not None and self._left.get((msg.receiver, requires), self._peers):
             self._blocked.setdefault((msg.receiver, requires), []).append(msg)
@@ -114,7 +126,7 @@ class Network:
         self._make_ready(msg)
 
     def _make_ready(self, msg: Message) -> None:
-        if self.config.delivery_order is DeliveryOrder.RANDOM:
+        if self._random_order:
             self._ready.append(msg)
         else:
             key = (msg.sender, msg.receiver, msg.round_key)
@@ -162,13 +174,19 @@ class Network:
     # delivery
 
     def _pick(self) -> Message | None:
-        if self.config.delivery_order is DeliveryOrder.RANDOM:
-            if not self._ready:
+        if self._random_order:
+            ready = self._ready
+            n = len(ready)
+            if not n:
                 return None
-            idx = self._rng.randrange(len(self._ready))
-            msg = self._ready[idx]
-            self._ready[idx] = self._ready[-1]
-            self._ready.pop()
+            # randrange(n) as CPython 3.11 computes it, without its call layers
+            k = n.bit_length()
+            idx = self._rng.getrandbits(k)
+            while idx >= n:
+                idx = self._rng.getrandbits(k)
+            msg = ready[idx]
+            ready[idx] = ready[-1]
+            ready.pop()
             return msg
         while self._rotation:
             key = self._rotation.popleft()
@@ -191,15 +209,17 @@ class Network:
                 raise InvariantError("transport stalled on blocked messages")
             return None
         self._time += 1
-        if self.config.drop_probability > 0.0 and self._rng.random() < self.config.drop_probability:
+        if self._drop and self._rng.random() < self._drop:
             self.dropped_count += 1
-            self._log("DROP", msg)
+            if self.record_events:
+                self._log("DROP", msg)
             reader = self._readers[(msg.sender, msg.round_key)]
             retry = Message(msg.receiver, msg.sender, msg.round_key, msg.seq, reader(msg.seq))
             self._enqueue(retry)
             return False, msg
         self.delivered_count += 1
-        self._log("DELIVER", msg)
+        if self.record_events:
+            self._log("DELIVER", msg)
         seen = self._seen[(msg.receiver, msg.sender, msg.round_key)]
         if seen[msg.seq]:
             raise InvariantError(
@@ -208,8 +228,10 @@ class Network:
             )
         seen[msg.seq] = 1
         rk = (msg.receiver, msg.round_key)
-        self._left[rk] -= 1
-        if not self._left[rk]:
+        left = self._left[rk] - 1
+        self._left[rk] = left
+        if not left:
+            self.rounds_completed += 1
             self._release(msg.receiver, msg.round_key)
         return True, msg
 

@@ -36,6 +36,9 @@ TRACE_MAGIC = b"NTRC"
 TRACE_VERSION = 1
 _HEADER = struct.Struct("<4sBIQ")
 
+# Flow ids run from 1 to num_flows and are stored as uint32.
+MAX_FLOWS = 0xFFFFFFFF
+
 # Packets split_stream orders by switch at a time. Bounds the argsort's int64
 # index array, which at trace length would set the process's peak memory.
 SPLIT_BLOCK = 1 << 16
@@ -62,6 +65,8 @@ def gen_zipf(a: float, num_packets: int, num_flows: int, seed: int) -> Trace:
         raise ValueError("zipf exponent must be positive")
     if num_flows < 1:
         raise ValueError("need at least one flow")
+    if num_flows > MAX_FLOWS:
+        raise ValueError(f"--flows must be at most {MAX_FLOWS}: flow ids are uint32")
     rng = np.random.default_rng(seed)
     weights = np.arange(1, num_flows + 1, dtype=np.float64) ** -a
     cdf = np.cumsum(weights)

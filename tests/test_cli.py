@@ -294,3 +294,51 @@ def test_checks_raise_under_python_O():
     proc = _fresh_python("-O", "-c", OPTIMIZED_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "raised", "raised"]
+
+
+def test_python_m_nettopk_runs_the_cli():
+    proc = _fresh_python("-W", "error", "-m", "nettopk", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nettopk")
+    assert proc.stderr == ""
+
+
+# Flow ids are uint32: 2**32 flows would wrap the last id to 0. Under a
+# 1 GiB address-space limit, a check that let the count through would fail
+# fast on the 32 GiB rank array instead of allocating it.
+FLOWS_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nettopk.cli import ExperimentConfig, main
+from nettopk.workload import MAX_FLOWS, gen_zipf
+
+assert MAX_FLOWS == 2**32 - 1
+ExperimentConfig(n_switches=2, d=2, s=64, k=8, seeds=(1,), zipf_a=1.0, num_packets=10,
+                 num_flows=MAX_FLOWS)
+try:
+    ExperimentConfig(n_switches=2, d=2, s=64, k=8, seeds=(1,), zipf_a=1.0, num_packets=10,
+                     num_flows=MAX_FLOWS + 1)
+except ValueError as exc:
+    print("config:", exc)
+try:
+    gen_zipf(1.0, 10, MAX_FLOWS + 1, seed=1)
+except ValueError as exc:
+    print("gen_zipf:", exc)
+flows = str(MAX_FLOWS + 1)
+print("gen-trace:", main(["gen-trace", "--zipf", "1.0", "--packets", "10", "--flows", flows,
+                          "--seed", "1", "--out", sys.argv[1]]))
+print("run:", main(["run", "--switches", "2", "--zipf", "1.0", "--packets", "10", "--flows", flows,
+                    "--out", sys.argv[1]]))
+"""
+
+
+def test_flow_count_beyond_uint32_rejected_before_allocation(tmp_path):
+    out = tmp_path / "never.out"
+    proc = _fresh_python("-c", FLOWS_PROBE, str(out))
+    assert proc.returncode == 0, proc.stderr
+    message = "--flows must be at most 4294967295: flow ids are uint32"
+    assert proc.stdout.splitlines() == [
+        f"config: {message}", f"gen_zipf: {message}", "gen-trace: 1", "run: 1",
+    ]
+    assert proc.stderr.splitlines() == [f"error: {message}"] * 2
+    assert not out.exists()
