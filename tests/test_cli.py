@@ -305,9 +305,12 @@ def test_python_m_nettopk_runs_the_cli():
 
 # Flow ids are uint32: 2**32 flows would wrap the last id to 0. Under a
 # 1 GiB address-space limit, a check that let the count through would fail
-# fast on the 32 GiB rank array instead of allocating it.
+# fast on the 32 GiB rank array instead of allocating it. One BLAS thread
+# keeps numpy's own import well inside the limit on many-core machines.
 FLOWS_PROBE = """
-import resource, sys
+import os, resource, sys
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[name] = "1"
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from nettopk.cli import ExperimentConfig, main
 from nettopk.workload import MAX_FLOWS, gen_zipf
