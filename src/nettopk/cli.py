@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import os
 import sys
 from dataclasses import dataclass
 from statistics import fmean
@@ -44,7 +45,8 @@ from .flowtable import TableConfig, memory_bytes
 from .precision import derive_seed, ingest
 from .protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
-from .workload import MAX_FLOWS, SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
+from .workload import MAX_FLOWS, ZIPF_BYTES_PER_PACKET, SplitPlan, Trace, exact_topk, gen_zipf
+from .workload import read_trace, split_stream, write_trace
 
 CSV_HEADER = "seed,n,clusters,d,s,k,zipf,packets,flows,affinity,drop,recall,messages,memory_bytes,recirculations"
 
@@ -96,6 +98,17 @@ class ExperimentConfig:
             raise ValueError("zipf traces need num_packets and num_flows")
         if self.num_flows > MAX_FLOWS:
             raise ValueError(f"--flows must be at most {MAX_FLOWS}: flow ids are uint32")
+        if self.zipf_a is not None:
+            if self.k > self.num_flows:
+                raise ValueError("--k must be at most --flows")
+            need = ZIPF_BYTES_PER_PACKET * self.num_packets
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if need > have:
+                raise ValueError(
+                    f"--packets {self.num_packets} needs at least {need / 2**30:.1f} GiB to synthesize, "
+                    f"more than the {have / 2**30:.1f} GiB of physical memory"
+                )
+            _check_cycles(self.cycles, self.num_packets)
         if not 1 <= self.clusters <= self.n_switches:
             raise ValueError("clusters must be in [1, n_switches]")
         if not self.seeds:
@@ -106,6 +119,11 @@ class ExperimentConfig:
             raise ValueError("engine must be auto, reference, or arrays")
         if self.engine == "arrays" and self.drop_probability > 0.0:
             raise ValueError("the arrays engine is lossless only")
+
+
+def _check_cycles(cycles: int, num_packets: int) -> None:
+    if cycles > num_packets:
+        raise ValueError(f"--cycles must be at most the packet count, {num_packets}")
 
 
 @dataclass
@@ -253,6 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.trace_path is not None:
         trace = read_trace(config.trace_path)
         num_packets, num_flows = len(trace.packets), trace.num_flows
+        _check_cycles(config.cycles, num_packets)
     else:
         trace = None
         num_packets, num_flows = config.num_packets, config.num_flows

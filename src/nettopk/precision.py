@@ -13,15 +13,17 @@ table's accessors and can record the AccessLog that proves pipeline
 legality; it is the reference. ingest applies it to a stream, and both
 engines ingest through it. For d=2, the paper's configuration, it hashes
 each block of packets once with numpy, then one loop works on the table's
-row lists directly, with both probes unrolled and the splitmix64 step
-inlined. Any other d runs process_packet on each packet. Tests require
-ingest to match a process_packet loop exactly and pin the inlined step to
-splitmix64.
+row lists directly, with both probes unrolled. splitmix64's state is a
+Weyl sequence, so the loop takes its draws from numpy chunks computed ahead
+and advances the state by the draws it used. Any other d runs
+process_packet on each packet. Tests require ingest to match a
+process_packet loop exactly and pin the chunks to splitmix64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -36,12 +38,18 @@ from .flowtable import (
 )
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's Weyl increment
 
 # Packets hashed and converted to Python ints at a time by ingest. Bounds the
 # block's list copies, which would otherwise be trace-length. At 2**14 the
 # 128 KiB lists sometimes kept glibc from trimming its heap after a seed, and
 # the peak RSS of later seeds crept upwards; 32 KiB lists did not.
 INGEST_BLOCK = 1 << 12
+
+# splitmix64 draws computed with numpy at a time by ingest's d=2 loop. The
+# draws of a chunk that a call leaves unused cost their share of one numpy
+# pass and nothing else: rng_state advances by the draws used.
+DRAW_BLOCK = 1 << 12
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -52,6 +60,36 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
+
+
+def splitmix64_outputs(state: int, n: int) -> np.ndarray:
+    """The outputs of the next n splitmix64 steps from state, as uint64.
+
+    The state is a Weyl sequence, so step i mixes state + i * gamma; numpy's
+    uint64 arithmetic wraps modulo 2**64 as the masks in splitmix64 do.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += state & _MASK64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def replace_limits(z: np.ndarray) -> np.ndarray:
+    """_MASK64 // (z + 1) for each uint64 draw z, and 0 where z is _MASK64.
+
+    A miss whose minimum count c is at least 1 replaces iff c < its draw's
+    limit. That is process_packet's test z < _MASK64 // (c + 1): both say
+    (z + 1) * (c + 1) <= _MASK64. A limit is small for most draws, so the
+    per-packet test is one comparison of small ints.
+    """
+    z = z + 1  # wraps _MASK64 to 0, and numpy's integer division by 0 gives 0
+    with np.errstate(divide="ignore"):
+        return np.floor_divide(_MASK64, z, out=z)
 
 
 def derive_seed(base: int, stream: int) -> int:
@@ -112,9 +150,11 @@ def ingest(state: LocalTopKState, packets) -> None:
 
     A flow ID 0 anywhere raises ValueError before any packet is accounted.
     For d=2 the slots of a block of packets are hashed with numpy, then the
-    rule runs on the table's row lists with both probes unrolled, splitmix64
-    inlined, and the RNG state and recirculation count held in locals. Any
-    other d runs process_packet on each packet.
+    rule runs on the table's row lists with both probes unrolled. A miss on a
+    minimum count c >= 1 takes the next replace_limits value of the draws
+    from the RNG state on, computed DRAW_BLOCK at a time, and replaces iff c
+    is below it. The state then advances by the draws used. Any other d runs
+    process_packet on each packet.
     """
     packets = np.asarray(packets)
     if not packets.all():
@@ -131,6 +171,13 @@ def ingest(state: LocalTopKState, packets) -> None:
     counts0, counts1 = table.counts
     seed0, seed1 = config.seeds
     rng = state.rng_state
+    # the limits of the draws from rng on, DRAW_BLOCK at a time, computed
+    # only when the loop reaches them
+    chunk = DRAW_BLOCK
+    next_limit = chain.from_iterable(
+        replace_limits(splitmix64_outputs(origin, chunk)).tolist() for origin in count(rng, chunk * _GAMMA)
+    ).__next__
+    draws = 0
     recirculations = 0
     for start in range(0, len(packets), INGEST_BLOCK):
         block = packets[start : start + INGEST_BLOCK]
@@ -147,20 +194,21 @@ def ingest(state: LocalTopKState, packets) -> None:
             c = counts0[j0]
             c1 = counts1[j1]
             if c1 < c:
-                c, vec_ids, vec_counts, j = c1, ids1, counts1, j1
+                if c1:
+                    draws += 1
+                    if c1 >= next_limit():
+                        continue
+                ids1[j1] = flow_id
+                counts1[j1] = c1 + 1
             else:
-                vec_ids, vec_counts, j = ids0, counts0, j0
-            if c:
-                # splitmix64(rng), inlined
-                rng = (rng + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                z = ((rng ^ (rng >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                if z ^ (z >> 31) >= 0xFFFFFFFFFFFFFFFF // (c + 1):
-                    continue
+                if c:
+                    draws += 1
+                    if c >= next_limit():
+                        continue
+                ids0[j0] = flow_id
+                counts0[j0] = c + 1
             recirculations += 1
-            vec_ids[j] = flow_id
-            vec_counts[j] = c + 1
-    state.rng_state = rng
+    state.rng_state = (rng + draws * _GAMMA) & _MASK64
     state.recirculations += recirculations
 
 

@@ -39,6 +39,10 @@ _HEADER = struct.Struct("<4sBIQ")
 # Flow ids run from 1 to num_flows and are stored as uint32.
 MAX_FLOWS = 0xFFFFFFFF
 
+# gen_zipf holds a float64 draw, an int64 rank and the uint32 id of every
+# packet at once: a lower bound on the bytes a synthesis of a trace needs.
+ZIPF_BYTES_PER_PACKET = 20
+
 # Packets split_stream orders by switch at a time. Bounds the argsort's int64
 # index array, which at trace length would set the process's peak memory.
 SPLIT_BLOCK = 1 << 16

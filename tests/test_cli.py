@@ -345,3 +345,49 @@ def test_flow_count_beyond_uint32_rejected_before_allocation(tmp_path):
     ]
     assert proc.stderr.splitlines() == [f"error: {message}"] * 2
     assert not out.exists()
+
+
+# Under a 1 GiB address-space limit, a check that let the first two through
+# would fail on an allocation: 10**12 packets ask numpy for 7.28 TiB, and
+# 10**8 cycles split every switch's stream into that many pieces at once.
+# Without its check, the third fails only after synthesis, in split_stream,
+# and a trace shorter than --cycles would run cycles of empty streams.
+BOUNDS_PROBE = """
+import os, resource, sys
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[name] = "1"
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nettopk.cli import main
+from nettopk.workload import gen_zipf, write_trace
+
+out, trace = sys.argv[1:3]
+write_trace(gen_zipf(1.0, 10, 5, seed=1), trace)
+zipf = ["run", "--switches", "2", "--zipf", "1.0", "--out", out]
+print(main(zipf + ["--k", "8", "--packets", "1000000000000", "--flows", "100"]))
+print(main(zipf + ["--k", "8", "--packets", "1000", "--flows", "100", "--cycles", "100000000"]))
+print(main(zipf + ["--k", "8", "--packets", "1000", "--flows", "7"]))
+print(main(["run", "--switches", "2", "--k", "4", "--trace", trace, "--cycles", "11", "--out", out]))
+"""
+
+
+def test_outsized_inputs_rejected_before_allocation(tmp_path):
+    out = tmp_path / "never.out"
+    proc = _fresh_python("-c", BOUNDS_PROBE, str(out), str(tmp_path / "t.ntrc"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] * 4
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 4, proc.stderr
+    assert errors[0].startswith("error: --packets 1000000000000 needs at least 18626.5 GiB to synthesize")
+    assert errors[1:] == [
+        "error: --cycles must be at most the packet count, 1000",
+        "error: --k must be at most --flows",
+        "error: --cycles must be at most the packet count, 10",
+    ]
+    assert not out.exists()
+
+
+def test_synthesis_bound_is_physical_memory():
+    most = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")) // 20
+    small_config(num_packets=most)
+    with pytest.raises(ValueError, match=f"--packets {most + 1} needs"):
+        small_config(num_packets=most + 1)

@@ -19,7 +19,9 @@ from nettopk.precision import (
     ingest,
     local_estimate,
     process_packet,
+    replace_limits,
     splitmix64,
+    splitmix64_outputs,
 )
 from nettopk.workload import exact_topk, gen_zipf
 
@@ -239,8 +241,9 @@ def test_ingest_matches_process_packet_loop(s, flows, batches, block, seed):
 
 
 def test_d2_ingest_draws_the_splitmix64_sequence():
-    # ingest's d=2 loop inlines splitmix64; one slot per vector and thousands
-    # of distinct flows make most packets miss both slots and draw
+    # ingest's d=2 loop takes splitmix64 draws from numpy chunks; one slot per
+    # vector and thousands of distinct flows make most packets miss both slots
+    # and draw
     config = TableConfig(d=2, s=1, seeds=(3, 4))
     packets = gen_zipf(0.5, 5000, 2000, seed=21).packets
     fast = LocalTopKState.create(config, rng_seed=99)
@@ -255,6 +258,61 @@ def test_d2_ingest_draws_the_splitmix64_sequence():
     assert fast.rng_state == ref.rng_state
     assert fast.recirculations == ref.recirculations
     assert (fast.table.ids, fast.table.counts) == (ref.table.ids, ref.table.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.sampled_from([1, 2, 16]),
+    flows=st.integers(2, 60),
+    batches=st.lists(st.integers(0, 200), min_size=2, max_size=6),
+    chunk=st.sampled_from([1, 3, 8]),
+    seed=st.integers(0, 2**16),
+)
+def test_ingest_matches_process_packet_across_draw_chunks(s, flows, batches, chunk, seed):
+    # chunks of 1, 3 and 8 draws make calls refill mid-call and end with
+    # draws left over, which the next call must not reuse
+    config = TableConfig(d=2, s=s, seeds=tuple(derive_seed(seed, 7 + i) & 0xFFFFFFFF for i in range(2)))
+    fast = LocalTopKState.create(config, rng_seed=seed)
+    ref = LocalTopKState.create(config, rng_seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precision, "DRAW_BLOCK", chunk)
+        for b, size in enumerate(batches):
+            packets = gen_zipf(0.7, size, flows, seed=seed + b).packets
+            ingest(fast, packets)
+            for fid in packets.tolist():
+                process_packet(ref, fid)
+            assert fast.table.ids == ref.table.ids
+            assert fast.table.counts == ref.table.counts
+            assert fast.rng_state == ref.rng_state
+            assert fast.recirculations == ref.recirculations
+
+
+def test_replace_limit_rule_at_its_edges():
+    # c < limit(z) is process_packet's z < M // (c + 1) at and around each
+    # threshold, and at both ends of the draw range
+    cs, zs = [], []
+    for c in range(1, 2001):
+        t = _MASK64 // (c + 1)
+        for z in (0, t - 1, t, t + 1, _MASK64 - 1, _MASK64):
+            cs.append(c)
+            zs.append(z)
+    limits = replace_limits(np.array(zs, dtype=np.uint64)).tolist()
+    assert [c < lim for c, lim in zip(cs, limits)] == [z < _MASK64 // (c + 1) for c, z in zip(cs, zs)]
+    assert replace_limits(np.array([0, _MASK64], dtype=np.uint64)).tolist() == [_MASK64, 0]
+
+
+@pytest.mark.parametrize("state", [0, 99, 0x243F6A8885A308D3, _MASK64 - 3, _MASK64])
+def test_draw_chunk_matches_scalar_splitmix64(state):
+    # _MASK64 - 3 puts 2**64 inside the chunk's first Weyl step
+    n = 1500
+    expected = []
+    s = state
+    for _ in range(n):
+        s, z = splitmix64(s)
+        expected.append(z)
+    chunk = splitmix64_outputs(state, n)
+    assert chunk.tolist() == expected
+    assert replace_limits(chunk).tolist() == [_MASK64 // (z + 1) for z in expected]
 
 
 @pytest.mark.parametrize("d", [1, 3, 4])
