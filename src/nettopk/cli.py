@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 from dataclasses import dataclass
 from statistics import fmean
@@ -45,7 +44,7 @@ from .flowtable import TableConfig, memory_bytes
 from .precision import derive_seed, ingest
 from .protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
-from .workload import MAX_FLOWS, ZIPF_BYTES_PER_PACKET, SplitPlan, Trace, exact_topk, gen_zipf
+from .workload import MAX_FLOWS, SplitPlan, Trace, check_synthesis_memory, exact_topk, gen_zipf
 from .workload import read_trace, split_stream, write_trace
 
 CSV_HEADER = "seed,n,clusters,d,s,k,zipf,packets,flows,affinity,drop,recall,messages,memory_bytes,recirculations"
@@ -101,13 +100,7 @@ class ExperimentConfig:
         if self.zipf_a is not None:
             if self.k > self.num_flows:
                 raise ValueError("--k must be at most --flows")
-            need = ZIPF_BYTES_PER_PACKET * self.num_packets
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if need > have:
-                raise ValueError(
-                    f"--packets {self.num_packets} needs at least {need / 2**30:.1f} GiB to synthesize, "
-                    f"more than the {have / 2**30:.1f} GiB of physical memory"
-                )
+            check_synthesis_memory(self.num_packets, self.num_flows)
             _check_cycles(self.cycles, self.num_packets)
         if not 1 <= self.clusters <= self.n_switches:
             raise ValueError("clusters must be in [1, n_switches]")
@@ -421,6 +414,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,14 @@
 
 Traces are flat sequences of 32-bit flow IDs (never 0). gen_zipf draws
 packet flows from a Zipf(a) rank distribution and relabels ranks through a
-seeded permutation so IDs carry no rank information.
+seeded permutation so IDs carry no rank information. zipf_ranks inverts
+the rank cdf by guide-table lookup (Chen & Asau's indexed search): a table
+of G = 2^j entries holds, for each g, the first rank whose cdf exceeds
+g/G, so a draw u starts at the entry for floor(u*G) and steps up past the
+few cdf values between g/G and u. It returns exactly what
+np.searchsorted(cdf, u, side="right") does, several times faster on a
+cdf too large for the cache. check_synthesis_memory bounds a synthesis by
+physical memory before anything is allocated.
 
 split_stream models an adversarial placement: packets of the true top-k
 flows go to a uniformly random switch per packet, every other flow has a
@@ -39,9 +46,17 @@ _HEADER = struct.Struct("<4sBIQ")
 # Flow ids run from 1 to num_flows and are stored as uint32.
 MAX_FLOWS = 0xFFFFFFFF
 
-# gen_zipf holds a float64 draw, an int64 rank and the uint32 id of every
-# packet at once: a lower bound on the bytes a synthesis of a trace needs.
-ZIPF_BYTES_PER_PACKET = 20
+# Bytes gen_zipf holds at its peak, by tracemalloc: 16 a packet, its float64
+# draw and int64 rank, and 16 a flow, the float64 cdf with either its
+# weights or the guide's int64 entries (at least one a flow once there are
+# as many packets; building a guide of up to two a flow holds 16 more).
+ZIPF_BYTES_PER_PACKET = 16
+ZIPF_BYTES_PER_FLOW = 16
+
+# Draws zipf_ranks looks up at a time, and the most guide steps it takes
+# before it finishes a block's remaining draws by binary search.
+ZIPF_BLOCK = 1 << 16
+GUIDE_STEPS = 8
 
 # Packets split_stream orders by switch at a time. Bounds the argsort's int64
 # index array, which at trace length would set the process's peak memory.
@@ -63,21 +78,62 @@ class Trace:
         return np.unique(self.packets, return_counts=True)
 
 
+def check_synthesis_memory(num_packets: int, num_flows: int) -> None:
+    """Reject a synthesis that would need more than physical memory."""
+    need = ZIPF_BYTES_PER_PACKET * num_packets + ZIPF_BYTES_PER_FLOW * num_flows
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"--packets {num_packets} needs at least {need / 2**30:.1f} GiB to synthesize "
+            f"with --flows {num_flows}, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def zipf_ranks(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a cdf ending in 1.0 and u in [0, 1).
+
+    guide[g] counts the cdf values <= g/G, so every index below it has
+    cdf <= g/G <= u for g = floor(u*G), which is exact as G is a power of
+    two. Stepping up while cdf[r] <= u then ends where searchsorted does,
+    equal cdf values included, because the cdf never decreases.
+    """
+    size = 1 << (max(min(len(cdf), len(u)), 1) - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(size) / size, side="right")
+    ranks = np.empty(len(u), dtype=np.intp)
+    for start in range(0, len(u), ZIPF_BLOCK):
+        block = u[start : start + ZIPF_BLOCK]
+        r = guide[(block * size).astype(np.intp)]
+        left = np.flatnonzero(cdf[r] <= block)
+        for _ in range(GUIDE_STEPS):
+            if not len(left):
+                break
+            r[left] += 1
+            left = left[cdf[r[left]] <= block[left]]
+        r[left] = np.searchsorted(cdf, block[left], side="right")
+        ranks[start : start + ZIPF_BLOCK] = r
+    return ranks
+
+
 def gen_zipf(a: float, num_packets: int, num_flows: int, seed: int) -> Trace:
-    """Synthesize a trace with rank-r flow probability proportional to r^-a."""
+    """Synthesize a trace with rank-r flow probability proportional to r^-a.
+
+    The draws are rng.random(num_packets), then rng.permutation(num_flows)
+    for the ids by rank; zipf_ranks maps each draw to the rank
+    np.searchsorted would, so a seed's trace is the same byte for byte.
+    """
     if a <= 0:
         raise ValueError("zipf exponent must be positive")
     if num_flows < 1:
         raise ValueError("need at least one flow")
     if num_flows > MAX_FLOWS:
         raise ValueError(f"--flows must be at most {MAX_FLOWS}: flow ids are uint32")
+    check_synthesis_memory(num_packets, num_flows)
     rng = np.random.default_rng(seed)
-    weights = np.arange(1, num_flows + 1, dtype=np.float64) ** -a
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(np.arange(1, num_flows + 1, dtype=np.float64) ** -a)
     cdf /= cdf[-1]
     cdf[-1] = 1.0
-    u = rng.random(num_packets)
-    ranks = np.searchsorted(cdf, u, side="right")
+    ranks = zipf_ranks(cdf, rng.random(num_packets))
+    del cdf
     ids_by_rank = rng.permutation(num_flows).astype(np.uint32) + 1
     return Trace(packets=ids_by_rank[ranks], num_flows=num_flows)
 

@@ -21,7 +21,7 @@ from nettopk.cli import (
 )
 from nettopk.flowtable import FlowEntry
 from nettopk.transport import DeliveryOrder
-from nettopk.workload import gen_zipf, read_trace, write_trace
+from nettopk.workload import ZIPF_BYTES_PER_FLOW, ZIPF_BYTES_PER_PACKET, gen_zipf, read_trace, write_trace
 
 ZIPF_SMALL = dict(zipf_a=1.0, num_packets=5000, num_flows=300)
 
@@ -305,7 +305,10 @@ def test_python_m_nettopk_runs_the_cli():
 
 # Flow ids are uint32: 2**32 flows would wrap the last id to 0. Under a
 # 1 GiB address-space limit, a check that let the count through would fail
-# fast on the 32 GiB rank array instead of allocating it. One BLAS thread
+# fast on the 32 GiB cdf instead of allocating it. MAX_FLOWS itself is a
+# legal count, which the synthesis bound rejects on a machine with less
+# physical memory than its synthesis needs; gen-trace and run end in one
+# error line either way, from the bound or from the rlimit. One BLAS thread
 # keeps numpy's own import well inside the limit on many-core machines.
 FLOWS_PROBE = """
 import os, resource, sys
@@ -316,8 +319,12 @@ from nettopk.cli import ExperimentConfig, main
 from nettopk.workload import MAX_FLOWS, gen_zipf
 
 assert MAX_FLOWS == 2**32 - 1
-ExperimentConfig(n_switches=2, d=2, s=64, k=8, seeds=(1,), zipf_a=1.0, num_packets=10,
-                 num_flows=MAX_FLOWS)
+try:
+    ExperimentConfig(n_switches=2, d=2, s=64, k=8, seeds=(1,), zipf_a=1.0, num_packets=10,
+                     num_flows=MAX_FLOWS)
+    print("max: accepted")
+except ValueError as exc:
+    print("max:", exc)
 try:
     ExperimentConfig(n_switches=2, d=2, s=64, k=8, seeds=(1,), zipf_a=1.0, num_packets=10,
                      num_flows=MAX_FLOWS + 1)
@@ -327,11 +334,11 @@ try:
     gen_zipf(1.0, 10, MAX_FLOWS + 1, seed=1)
 except ValueError as exc:
     print("gen_zipf:", exc)
-flows = str(MAX_FLOWS + 1)
-print("gen-trace:", main(["gen-trace", "--zipf", "1.0", "--packets", "10", "--flows", flows,
-                          "--seed", "1", "--out", sys.argv[1]]))
-print("run:", main(["run", "--switches", "2", "--zipf", "1.0", "--packets", "10", "--flows", flows,
-                    "--out", sys.argv[1]]))
+for flows in (MAX_FLOWS + 1, MAX_FLOWS):
+    print("gen-trace:", main(["gen-trace", "--zipf", "1.0", "--packets", "10", "--flows", str(flows),
+                              "--seed", "1", "--out", sys.argv[1]]))
+    print("run:", main(["run", "--switches", "2", "--k", "8", "--zipf", "1.0", "--packets", "10",
+                        "--flows", str(flows), "--out", sys.argv[1]]))
 """
 
 
@@ -340,10 +347,19 @@ def test_flow_count_beyond_uint32_rejected_before_allocation(tmp_path):
     proc = _fresh_python("-c", FLOWS_PROBE, str(out))
     assert proc.returncode == 0, proc.stderr
     message = "--flows must be at most 4294967295: flow ids are uint32"
-    assert proc.stdout.splitlines() == [
-        f"config: {message}", f"gen_zipf: {message}", "gen-trace: 1", "run: 1",
+    lines = proc.stdout.splitlines()
+    need = 10 * ZIPF_BYTES_PER_PACKET + (2**32 - 1) * ZIPF_BYTES_PER_FLOW
+    if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        assert lines[0] == "max: accepted"
+    else:
+        assert lines[0].startswith("max: --packets 10 needs at least ")
+        assert lines[0].endswith("GiB of physical memory")
+    assert lines[1:] == [
+        f"config: {message}", f"gen_zipf: {message}", "gen-trace: 1", "run: 1", "gen-trace: 1", "run: 1",
     ]
-    assert proc.stderr.splitlines() == [f"error: {message}"] * 2
+    errors = proc.stderr.splitlines()
+    assert errors[:2] == [f"error: {message}"] * 2
+    assert len(errors) == 4 and all(e.startswith("error: ") for e in errors[2:]), proc.stderr
     assert not out.exists()
 
 
@@ -377,7 +393,7 @@ def test_outsized_inputs_rejected_before_allocation(tmp_path):
     assert proc.stdout.split() == ["1"] * 4
     errors = proc.stderr.splitlines()
     assert len(errors) == 4, proc.stderr
-    assert errors[0].startswith("error: --packets 1000000000000 needs at least 18626.5 GiB to synthesize")
+    assert errors[0].startswith("error: --packets 1000000000000 needs at least 14901.2 GiB to synthesize")
     assert errors[1:] == [
         "error: --cycles must be at most the packet count, 1000",
         "error: --k must be at most --flows",
@@ -387,7 +403,41 @@ def test_outsized_inputs_rejected_before_allocation(tmp_path):
 
 
 def test_synthesis_bound_is_physical_memory():
-    most = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")) // 20
+    flows = ZIPF_SMALL["num_flows"]
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    most = (have - ZIPF_BYTES_PER_FLOW * flows) // ZIPF_BYTES_PER_PACKET
     small_config(num_packets=most)
-    with pytest.raises(ValueError, match=f"--packets {most + 1} needs"):
+    with pytest.raises(ValueError, match=f"--packets {most + 1} needs .* with --flows {flows}, "):
         small_config(num_packets=most + 1)
+    with pytest.raises(ValueError, match=f"--packets {most + 1} needs"):
+        gen_zipf(1.0, most + 1, flows, seed=1)
+    most_flows = (have - ZIPF_BYTES_PER_PACKET) // ZIPF_BYTES_PER_FLOW
+    with pytest.raises(ValueError, match=f"--packets 1 needs .* with --flows {most_flows + 1}, "):
+        small_config(num_packets=1, num_flows=most_flows + 1)
+
+
+# Physical memory admits 10**8 packets (1.5 GiB), and the 1 GiB
+# address-space limit does not: synthesis runs out of memory part way.
+MEMORY_PROBE = """
+import os, resource, sys
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[name] = "1"
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nettopk.cli import main
+
+print(main(["run", "--switches", "2", "--k", "8", "--zipf", "1.0", "--packets", "100000000",
+            "--flows", "1000", "--out", sys.argv[1]]))
+"""
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    need = 10**8 * ZIPF_BYTES_PER_PACKET + 1000 * ZIPF_BYTES_PER_FLOW
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        pytest.skip("the synthesis bound rejects 10**8 packets on this machine")
+    out = tmp_path / "never.out"
+    proc = _fresh_python("-c", MEMORY_PROBE, str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not out.exists()

@@ -1,14 +1,20 @@
 """Trace synthesis, splitting policy, the exact oracle, and trace files."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nettopk import workload
 from nettopk.flowtable import FlowEntry
 from nettopk.precision import derive_seed
 from nettopk.workload import (
+    GUIDE_STEPS,
     SPLIT_BLOCK,
+    ZIPF_BLOCK,
     TRACE_MAGIC,
     SplitPlan,
     Trace,
@@ -17,6 +23,7 @@ from nettopk.workload import (
     read_trace,
     split_stream,
     write_trace,
+    zipf_ranks,
     _home_switches,
 )
 
@@ -58,6 +65,74 @@ def test_rank1_mass_matches_harmonic_form():
     expected = 1.0 / h
     share = top.count / len(tr.packets)
     assert abs(share - expected) < 0.05 * expected
+
+
+# sha256 of gen_zipf(a, packets, flows, seed).packets.tobytes(), recorded
+# from the np.searchsorted synthesis the guide-table lookup replaced. These
+# digests are the byte-identity contract: they never change.
+TRACE_DIGESTS = [
+    ((1.0, 3 * 2**16 + 5, 1000, 7), "bbdfd9ffc34df8440e981312f1af694c1dd347ce4e5f628df9b8a5633683c9ed"),
+    ((1.0, 500, 20_000, 3), "7b2f660d63c918ef4830fa4408a4e3fa27b2561dd9b7afb27ea9d0a7930ea5d0"),
+    ((1.0, 1000, 1, 5), "ef2d9ea73cb0231d38dca545d371d5df089b08b23138859f4776eed870f76912"),
+    ((0.8, 100_000, 5000, 11), "1677861c01b86b8392a242e586495edb87ad18d7122b1dfcb92b3e85e8ac7425"),
+    ((1.0, 2_000_000, 200_000, 1001), "de11c9f4ab6f5c74d45ff21e1e668702e22331c1567d72f5f89cd72a031ab280"),
+    ((3.0, 50_000, 300, 17), "46c28b443b663fff83628da97fdbaed2d383c934854ae2fa365dbd57343653da"),
+]
+
+
+@pytest.mark.parametrize("args, digest", TRACE_DIGESTS, ids=[str(args) for args, _ in TRACE_DIGESTS])
+def test_gen_zipf_bytes_are_pinned(args, digest):
+    assert hashlib.sha256(gen_zipf(*args).packets.tobytes()).hexdigest() == digest
+
+
+def _zipf_cdf(a, flows):
+    cdf = np.cumsum(np.arange(1, flows + 1, dtype=np.float64) ** -a)
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _adversarial_draws(cdf):
+    """Every cdf value and its neighbours, every guide edge g/G for each G up
+    to 2**12 with its neighbours, 0.0 and the largest double below 1.0."""
+    edges = np.arange(1 << 12) / (1 << 12)
+    points = np.concatenate([cdf, edges, [np.nextafter(1.0, 0.0)]])
+    draws = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return draws[draws < 1.0]
+
+
+def test_large_exponent_cdf_has_equal_entries():
+    cdf = _zipf_cdf(5.0, 3000)
+    assert (np.diff(cdf) == 0).any()
+    u = _adversarial_draws(cdf)
+    assert np.array_equal(zipf_ranks(cdf, u), np.searchsorted(cdf, u, side="right"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.one_of(st.none(), st.floats(0.3, 5.0)),
+    flows=st.integers(1, 3000),
+    packets=st.one_of(st.none(), st.integers(0, 3000)),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 3, ZIPF_BLOCK]),
+    steps=st.sampled_from([0, 1, GUIDE_STEPS]),
+)
+def test_zipf_ranks_match_searchsorted(a, flows, packets, seed, block, steps):
+    # a=None is the uniform cdf k/flows, whose values sit on guide edges of
+    # every power-of-two guide. packets=None looks up every adversarial draw;
+    # otherwise a sample of them and uniform draws, which may be fewer than
+    # the flows. A step cap of 0 or 1 leaves draws for the binary-search finish.
+    cdf = np.arange(1, flows + 1) / flows if a is None else _zipf_cdf(a, flows)
+    u = _adversarial_draws(cdf)
+    if packets is not None:
+        rng = np.random.default_rng(seed)
+        u = np.where(rng.random(packets) < 0.5, rng.choice(u, packets), rng.random(packets))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "ZIPF_BLOCK", block)
+        mp.setattr(workload, "GUIDE_STEPS", steps)
+        ranks = zipf_ranks(cdf, u)
+    assert ranks.dtype == np.intp
+    assert np.array_equal(ranks, np.searchsorted(cdf, u, side="right"))
 
 
 def test_exact_topk_counts_and_order():
