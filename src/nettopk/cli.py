@@ -181,12 +181,19 @@ def load_trace(config: ExperimentConfig, seed: int) -> Trace:
     return gen_zipf(config.zipf_a, config.num_packets, config.num_flows, derive_seed(seed, 10))
 
 
+def cycle_piece(stream: np.ndarray, cycles: int, cyc: int) -> np.ndarray:
+    """np.array_split(stream, cycles)[cyc], sliced only when it is ingested:
+    the first len(stream) % cycles pieces are one packet longer."""
+    each, extra = divmod(len(stream), cycles)
+    start = cyc * each + min(cyc, extra)
+    return stream[start : start + each + (cyc < extra)]
+
+
 def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedResult:
     """Simulate one seed on pre-split per-switch streams."""
     engine = _choose_engine(config)
     n, d, s = config.n_switches, config.d, config.s
     tcfg = TableConfig(d=d, s=s, seeds=_table_seeds(seed, d))
-    chunks = [np.array_split(st, config.cycles) for st in streams]
     plan = partition(n, config.clusters, derive_seed(seed, 12)) if config.clusters > 1 else None
     delivered = 0
     dropped = 0
@@ -196,7 +203,7 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         switches = [SwitchState(i, tcfg, derive_seed(seed, 0x100 + i)) for i in range(n)]
         for cyc in range(config.cycles):
             for i, sw in enumerate(switches):
-                ingest(sw.l_topk, chunks[i][cyc])
+                ingest(sw.l_topk, cycle_piece(streams[i], config.cycles, cyc))
             net_config = NetworkConfig(
                 n=n,
                 drop_probability=config.drop_probability,
@@ -220,9 +227,8 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         rng_states = [derive_seed(seed, 0x100 + i) for i in range(n)]
         for cyc in range(config.cycles):
             for i in range(n):
-                rng_states[i], rc = _kernels.ingest_arrays(
-                    l_ids[i], l_counts[i], tcfg, rng_states[i], chunks[i][cyc]
-                )
+                piece = cycle_piece(streams[i], config.cycles, cyc)
+                rng_states[i], rc = _kernels.ingest_arrays(l_ids[i], l_counts[i], tcfg, rng_states[i], piece)
                 recirc += rc
             if plan is None:
                 res = run_cycle_arrays(l_ids, l_counts, tcfg)

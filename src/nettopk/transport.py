@@ -1,7 +1,7 @@
 """Simulated exactly-once broadcast with loss, retransmission, and
 round-completion detection.
 
-Senders broadcast the entries of a static table. Each enqueued message is
+Senders broadcast the entries of a static table. Each queued copy is
 eventually delivered exactly once: a drop reschedules a retransmission
 that re-reads the same slot from the static source table rather than
 buffering the payload. Registration gives each (receiver, sender, round)
@@ -10,32 +10,50 @@ set is a duplicate, and a byte still unset at audit time is a loss. A
 countdown per (receiver, round) of peers yet to register plus messages yet
 to arrive reaches 0 exactly when the round is complete.
 
+A queued copy is one int, its handle. A broadcast registers one record:
+sender, round, receivers, its entries read once, and each receiver's
+ledger and countdown key. The handle holds the record's index above
+COPY_BITS and, below them, seq * fanout + the receiver's position among
+the fanout receivers. The whole broadcast is queued at once, about 8 bytes
+a copy, and step builds a Message only for the copy it returns.
+
 A broadcast may declare that its delivery requires the receiver to have
 completed an earlier round (consolidation packets must not reach a switch
-still aggregating). Such messages are held aside per receiver and released
-the moment the prerequisite round completes; prerequisite-free rounds are
-always deliverable, so the network never stalls.
+still aggregating). Nothing is delivered inside a broadcast, so whether a
+receiver must wait is decided once per receiver; its copies are held aside
+and released, in registration order, the moment the prerequisite round
+completes. Prerequisite-free rounds are always deliverable, so the network
+never stalls.
 
 Delivery order is either FIFO_PER_PAIR (per sender-receiver queue, fair
-rotation across queues) or RANDOM (uniform over all deliverable messages).
-Everything is deterministic given the config seed.
+rotation across queues) or RANDOM (uniform over all deliverable copies).
+The RANDOM pool is an array of handles, appended to in enqueue order and
+picked by swap-remove. A FIFO pair queue is the run of its original
+copies' handles followed by its retransmissions. Everything is
+deterministic given the config seed.
 
-Each step() delivers or drops exactly one message and returns
-(delivered, message), where message is the queued Message itself; it
-returns None once nothing is deliverable. A delivery that completes its
-receiver's round also adds 1 to rounds_completed, so a caller learns of
-each completion from the step that caused it, without asking
-round_complete after every delivery.
+Each step() delivers or drops exactly one copy and returns
+(delivered, message); it returns None once nothing is deliverable. A
+delivery that completes its receiver's round also adds 1 to
+rounds_completed, so a caller learns of each completion from the step that
+caused it, without asking round_complete after every delivery.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .flowtable import FlowEntry, InvariantError
+
+# A handle is broadcast index << COPY_BITS | seq * fanout + position, so
+# that every handle fits in an int64.
+COPY_BITS = 40
+COPY_MASK = (1 << COPY_BITS) - 1
+MAX_BROADCASTS = 1 << (63 - COPY_BITS)
 
 
 class DeliveryOrder(Enum):
@@ -59,18 +77,40 @@ class NetworkConfig:
 
 @dataclass(slots=True)
 class Message:
-    """One queued copy of entry seq of sender's round_key broadcast.
-
-    Not frozen: a frozen dataclass's __init__ sets each field through
-    object.__setattr__, and a Message is built on every enqueue and every
-    retransmission. Nothing changes a Message once it is queued.
-    """
+    """The copy of entry seq of sender's round_key broadcast that one step
+    delivered or dropped; step builds it from the copy's handle."""
 
     receiver: int
     sender: int
     round_key: object
     seq: int
     entry: FlowEntry
+
+
+@dataclass(slots=True)
+class _PairQueue:
+    """One FIFO sender-receiver queue: the handles next, next + stride, ...
+    below stop, its original copies in seq order, then its retransmissions."""
+
+    next: int
+    stop: int
+    stride: int
+    retries: deque | None = None
+
+
+@dataclass(slots=True)
+class _Broadcast:
+    """One registered (sender, round) broadcast; per receiver position, its
+    ledger, its countdown key and, under FIFO order, its pair queue."""
+
+    sender: int
+    round_key: object
+    receivers: tuple
+    reader: object
+    entries: list
+    seen: list
+    left_keys: list
+    queues: list
 
 
 class Network:
@@ -92,88 +132,114 @@ class Network:
         self._drop = config.drop_probability
         self._random_order = config.delivery_order is DeliveryOrder.RANDOM
         self._peers = config.n - 1
-        # one byte per registered message of (receiver, sender, round), set on delivery
-        self._seen: dict[tuple, bytearray] = {}
+        self._broadcasts: list[_Broadcast] = []
+        self._registered: set[tuple] = set()
         # per (receiver, round): peers yet to register plus messages yet to
         # arrive; neither term goes negative, so 0 means the round is complete
         self._left: dict[tuple, int] = {}
-        self._readers: dict[tuple, object] = {}
         self._requires: dict[object, object] = {}
         self._time = 0
-        # deliverable messages
-        self._ready: list[Message] = []
-        self._queues: dict[tuple, deque] = {}
-        self._rotation: deque = deque()
-        # messages waiting on (receiver, prerequisite round)
-        self._blocked: dict[tuple, list[Message]] = {}
+        # deliverable copies: the RANDOM pool of handles, or the FIFO pair
+        # queues that hold any, in rotation order
+        self._ready = array("q")
+        self._rotation: deque[_PairQueue] = deque()
+        # (broadcast index, receiver position) waiting on (receiver, prerequisite round)
+        self._blocked: dict[tuple, list[tuple[int, int]]] = {}
 
     # enqueue plumbing
 
-    def _log(self, kind: str, msg: Message) -> None:
-        self.events.append(
-            f"{self._time},{kind},{msg.round_key},{msg.sender},{msg.receiver},"
-            f"{msg.entry.id},{msg.entry.count}"
-        )
+    def _log(self, kind: str, round_key, sender, receiver, entry: FlowEntry) -> None:
+        self.events.append(f"{self._time},{kind},{round_key},{sender},{receiver},{entry.id},{entry.count}")
 
-    def _enqueue(self, msg: Message) -> None:
-        self.enqueued_count += 1
-        if self.record_events:
-            self._log("ENQ", msg)
-        requires = self._requires.get(msg.round_key)
-        if requires is not None and self._left.get((msg.receiver, requires), self._peers):
-            self._blocked.setdefault((msg.receiver, requires), []).append(msg)
-            return
-        self._make_ready(msg)
-
-    def _make_ready(self, msg: Message) -> None:
+    def _open(self, index: int, positions) -> None:
+        """Make broadcast index's original copies to the receivers at positions deliverable."""
+        rec = self._broadcasts[index]
+        fanout = len(rec.receivers)
+        base = index << COPY_BITS
+        stop = base + len(rec.entries) * fanout
         if self._random_order:
-            self._ready.append(msg)
-        else:
-            key = (msg.sender, msg.receiver, msg.round_key)
-            q = self._queues.get(key)
-            if q is None:
-                q = deque()
-                self._queues[key] = q
-            if not q:
-                self._rotation.append(key)
-            q.append(msg)
+            if len(positions) == fanout:
+                self._ready.extend(range(base, stop))
+            else:
+                self._ready.extend(h + pos for h in range(base, stop, fanout) for pos in positions)
+            return
+        for pos in positions:
+            q = _PairQueue(base + pos, stop + pos, fanout)
+            rec.queues[pos] = q
+            self._rotation.append(q)
 
-    def _release(self, receiver, round_key) -> None:
-        waiting = self._blocked.pop((receiver, round_key), None)
+    def _requeue(self, handle: int) -> None:
+        """Queue a dropped copy again: last in the RANDOM pool, or last in its FIFO pair queue."""
+        if self._random_order:
+            self._ready.append(handle)
+            return
+        rec = self._broadcasts[handle >> COPY_BITS]
+        q = rec.queues[(handle & COPY_MASK) % len(rec.receivers)]
+        if q.next == q.stop and not q.retries:
+            self._rotation.append(q)
+        if q.retries is None:
+            q.retries = deque()
+        q.retries.append(handle)
+
+    def _release(self, receiver_round) -> None:
+        waiting = self._blocked.pop(receiver_round, None)
         if waiting:
-            for msg in waiting:
-                self._make_ready(msg)
+            for index, pos in waiting:
+                self._open(index, (pos,))
 
     def broadcast(self, sender, round_key, reader, count: int, requires=None) -> None:
         """Register and enqueue one round's entries from sender to every other participant.
 
         reader(seq) re-reads entry seq from the sender's static table; it is
-        called once per enqueue, including retransmissions. requires names a
-        round the receiver must have completed before delivery is allowed.
+        called once per entry here and once per retransmission. requires
+        names a round the receiver must have completed before delivery is
+        allowed.
         """
         if sender not in self.participants:
             raise InvariantError(f"sender {sender} is not a participant")
-        self._readers[(sender, round_key)] = reader
+        if (sender, round_key) in self._registered:
+            raise InvariantError(f"duplicate registration of round {round_key} from {sender}")
+        index = len(self._broadcasts)
+        receivers = tuple(p for p in self.participants if p != sender)
+        if index >= MAX_BROADCASTS or count * len(receivers) > COPY_MASK + 1:
+            raise InvariantError(
+                f"broadcast {index} of {count} entries to {len(receivers)} receivers "
+                f"does not fit the {MAX_BROADCASTS}-broadcast handle layout"
+            )
         if requires is not None:
             prev = self._requires.setdefault(round_key, requires)
             if prev != requires:
                 raise InvariantError(f"round {round_key} requires {prev}, not {requires}")
-        receivers = [p for p in self.participants if p != sender]
-        for receiver in receivers:
-            key = (receiver, sender, round_key)
-            if key in self._seen:
-                raise InvariantError(f"duplicate registration {key}")
-            self._seen[key] = bytearray(count)
-            rk = (receiver, round_key)
+        self._registered.add((sender, round_key))
+        left_keys = [(receiver, round_key) for receiver in receivers]
+        for rk in left_keys:
             self._left[rk] = self._left.get(rk, self._peers) - 1 + count
-        for seq in range(count):
-            entry = reader(seq)
-            for receiver in receivers:
-                self._enqueue(Message(receiver, sender, round_key, seq, entry))
+        rec = _Broadcast(
+            sender, round_key, receivers, reader, [reader(seq) for seq in range(count)],
+            [bytearray(count) for _ in receivers], left_keys, [None] * len(receivers),
+        )
+        self._broadcasts.append(rec)
+        self.enqueued_count += count * len(receivers)
+        if self.record_events:
+            for entry in rec.entries:
+                for receiver in receivers:
+                    self._log("ENQ", round_key, sender, receiver, entry)
+        if not count:
+            return
+        if requires is None:
+            positions = range(len(receivers))
+        else:
+            positions = []
+            for pos, receiver in enumerate(receivers):
+                if self._left.get((receiver, requires), self._peers):
+                    self._blocked.setdefault((receiver, requires), []).append((index, pos))
+                else:
+                    positions.append(pos)
+        self._open(index, positions)
 
     # delivery
 
-    def _pick(self) -> Message | None:
+    def _pick(self) -> int | None:
         if self._random_order:
             ready = self._ready
             n = len(ready)
@@ -184,55 +250,67 @@ class Network:
             idx = self._rng.getrandbits(k)
             while idx >= n:
                 idx = self._rng.getrandbits(k)
-            msg = ready[idx]
+            handle = ready[idx]
             ready[idx] = ready[-1]
             ready.pop()
-            return msg
-        while self._rotation:
-            key = self._rotation.popleft()
-            q = self._queues[key]
-            msg = q.popleft()
-            if q:
-                self._rotation.append(key)
-            return msg
-        return None
+            return handle
+        rotation = self._rotation
+        if not rotation:
+            return None
+        q = rotation.popleft()
+        handle = q.next
+        if handle != q.stop:
+            q.next = handle + q.stride
+        else:
+            handle = q.retries.popleft()
+        if q.next != q.stop or q.retries:
+            rotation.append(q)
+        return handle
 
     def step(self) -> tuple[bool, Message] | None:
-        """Deliver or drop the next deliverable message; None when idle.
+        """Deliver or drop the next deliverable copy; None when idle.
 
         Returns (True, msg) for a delivery and (False, msg) for a drop,
         whose retransmission is already enqueued.
         """
-        msg = self._pick()
-        if msg is None:
+        handle = self._pick()
+        if handle is None:
             if any(self._blocked.values()):
                 raise InvariantError("transport stalled on blocked messages")
             return None
         self._time += 1
+        rec = self._broadcasts[handle >> COPY_BITS]
+        seq, pos = divmod(handle & COPY_MASK, len(rec.receivers))
+        msg = Message(rec.receivers[pos], rec.sender, rec.round_key, seq, rec.entries[seq])
         if self._drop and self._rng.random() < self._drop:
             self.dropped_count += 1
             if self.record_events:
-                self._log("DROP", msg)
-            reader = self._readers[(msg.sender, msg.round_key)]
-            retry = Message(msg.receiver, msg.sender, msg.round_key, msg.seq, reader(msg.seq))
-            self._enqueue(retry)
+                self._log("DROP", msg.round_key, msg.sender, msg.receiver, msg.entry)
+            entry = rec.reader(seq)
+            rec.entries[seq] = entry
+            self.enqueued_count += 1
+            if self.record_events:
+                self._log("ENQ", msg.round_key, msg.sender, msg.receiver, entry)
+            # the dropped copy was deliverable, so its receiver had completed
+            # any prerequisite round, and a completed round stays complete
+            self._requeue(handle)
             return False, msg
         self.delivered_count += 1
         if self.record_events:
-            self._log("DELIVER", msg)
-        seen = self._seen[(msg.receiver, msg.sender, msg.round_key)]
-        if seen[msg.seq]:
+            self._log("DELIVER", msg.round_key, msg.sender, msg.receiver, msg.entry)
+        seen = rec.seen[pos]
+        if seen[seq]:
             raise InvariantError(
-                f"duplicate delivery of message {msg.seq} from {msg.sender} to {msg.receiver} "
+                f"duplicate delivery of message {seq} from {msg.sender} to {msg.receiver} "
                 f"in round {msg.round_key}"
             )
-        seen[msg.seq] = 1
-        rk = (msg.receiver, msg.round_key)
+        seen[seq] = 1
+        rk = rec.left_keys[pos]
         left = self._left[rk] - 1
         self._left[rk] = left
         if not left:
             self.rounds_completed += 1
-            self._release(msg.receiver, msg.round_key)
+            self._release(rk)
         return True, msg
 
     def round_complete(self, receiver, round_key) -> bool:
@@ -240,9 +318,11 @@ class Network:
 
     def audit_exactly_once(self) -> None:
         """Raise InvariantError unless every registered message was delivered exactly once."""
-        for (receiver, sender, _), seen in self._seen.items():
-            if 0 in seen:
-                raise InvariantError(f"message {seen.index(0)} from {sender} to {receiver} lost")
-        registered = sum(map(len, self._seen.values()))
+        registered = 0
+        for rec in self._broadcasts:
+            for receiver, seen in zip(rec.receivers, rec.seen):
+                if 0 in seen:
+                    raise InvariantError(f"message {seen.index(0)} from {rec.sender} to {receiver} lost")
+                registered += len(seen)
         if self.delivered_count != registered:
             raise InvariantError(f"{self.delivered_count} deliveries for {registered} registered messages")

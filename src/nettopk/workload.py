@@ -16,9 +16,12 @@ flows go to a uniformly random switch per packet, every other flow has a
 hash-assigned home switch that attracts each of its packets with
 probability `affinity` (the rest go uniformly to the other switches).
 affinity=1 gives every non-top-k flow a dedicated switch. The split is
-one pass over the trace in blocks of SPLIT_BLOCK packets: a stable argsort
-(a radix sort while the switch array is 8 or 16 bits wide, up to 65536
-switches) cuts each block into per-switch pieces in trace order.
+one pass over the trace in blocks of SPLIT_BLOCK packets: each block's
+switches are chosen, and a stable argsort (a radix sort while the switch
+array is 8 or 16 bits wide, up to 65536 switches) cuts the block into
+per-switch pieces in trace order. The random draws come in the order of a
+whole-trace choice, so the streams do not depend on the block size, and
+besides the streams only a byte of draws a packet is trace-sized.
 
 exact_topk is the ground-truth tally; ties break toward the larger flow ID,
 mirroring the consolidation tie rule. It reads Trace.tally, one cached
@@ -58,8 +61,9 @@ ZIPF_BYTES_PER_FLOW = 16
 ZIPF_BLOCK = 1 << 16
 GUIDE_STEPS = 8
 
-# Packets split_stream orders by switch at a time. Bounds the argsort's int64
-# index array, which at trace length would set the process's peak memory.
+# Packets split_stream assigns and orders by switch at a time. Bounds its
+# per-packet temporaries, the int64 hops and argsort indices among them,
+# which at trace length would set the process's peak memory.
 SPLIT_BLOCK = 1 << 16
 
 
@@ -181,37 +185,55 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     packets = trace.packets
     if n == 1:
         return [packets.copy()]
-    top_ids = np.array([e.id for e in exact_topk(trace, plan.k)], dtype=np.uint32)
+    top = exact_topk(trace, plan.k)
+    top_ids = np.array([e.id for e in top], dtype=np.uint32)
     rng = np.random.default_rng(derive_seed(plan.seed, 2))
-    top_mask = np.isin(packets, top_ids)
     # the smallest unsigned dtype that holds n-1: 8 or 16 bits lets the
     # stable argsort below run as a radix sort
-    switch = np.empty(len(packets), dtype=np.min_scalar_type(n - 1))
-    switch[top_mask] = rng.integers(0, n, int(top_mask.sum()))
-    rest = ~top_mask
-    m = int(rest.sum())
-    homes = _home_switches(packets[rest], derive_seed(plan.seed, 1), n)
-    stay = rng.random(m) < plan.affinity
-    # a packet that leaves home hops to one of the other n-1 switches; built
-    # in place and freed before the per-switch split, because these
-    # trace-length arrays set the process's peak memory
-    dest = rng.integers(0, n - 1, m)
-    dest += homes
-    dest += 1
-    dest %= n
-    np.copyto(dest, homes, where=stay)
-    switch[rest] = dest
-    del homes, stay, dest, top_mask, rest
+    dtype = np.min_scalar_type(n - 1)
+    # three draw sequences, in this order: a switch per top-flow packet, a
+    # stay coin per other packet, then that packet's hop. A Generator draws
+    # the same values in pieces as in one call, so each is drawn a block at
+    # a time and no trace-length temporary is live
+    num_top = sum(e.count for e in top)
+    top_switch = np.empty(num_top, dtype=dtype)
+    for start in range(0, num_top, SPLIT_BLOCK):
+        top_switch[start : start + SPLIT_BLOCK] = rng.integers(0, n, min(SPLIT_BLOCK, num_top - start))
+    m = len(packets) - num_top
+    stay = np.empty(m, dtype=bool)
+    for start in range(0, m, SPLIT_BLOCK):
+        stay[start : start + SPLIT_BLOCK] = rng.random(min(SPLIT_BLOCK, m - start)) < plan.affinity
+    home_seed = derive_seed(plan.seed, 1)
     # the stable order keeps each switch's packets in trace order; the empty
     # first piece serves a trace with no packets
     pieces = [[packets[:0]] for _ in range(n)]
+    top_done = rest_done = 0
     for start in range(0, len(packets), SPLIT_BLOCK):
-        block_switch = switch[start : start + SPLIT_BLOCK]
+        block = packets[start : start + SPLIT_BLOCK]
+        top_mask = np.isin(block, top_ids)
+        block_switch = np.empty(len(block), dtype=dtype)
+        top_end = top_done + int(np.count_nonzero(top_mask))
+        block_switch[top_mask] = top_switch[top_done:top_end]
+        top_done = top_end
+        rest = ~top_mask
+        others = block[rest]
+        rest_end = rest_done + len(others)
+        # a packet that leaves home hops to one of the other n-1 switches
+        homes = _home_switches(others, home_seed, n)
+        dest = rng.integers(0, n - 1, len(others))
+        dest += homes
+        dest += 1
+        dest %= n
+        np.copyto(dest, homes, where=stay[rest_done:rest_end])
+        rest_done = rest_end
+        block_switch[rest] = dest
         order = np.argsort(block_switch, kind="stable")
         cuts = np.cumsum(np.bincount(block_switch, minlength=n)[:-1])
-        for parts, piece in zip(pieces, np.split(packets[start : start + SPLIT_BLOCK][order], cuts)):
-            parts.append(piece)
-    del switch
+        # copies, not views of the sorted block, so that joining a switch's
+        # pieces frees them
+        for parts, piece in zip(pieces, np.split(block[order], cuts)):
+            parts.append(piece.copy())
+    del top_switch, stay
     streams = []
     for i in range(n):
         streams.append(np.concatenate(pieces[i]))

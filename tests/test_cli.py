@@ -13,6 +13,7 @@ from nettopk import cli
 from nettopk.cli import (
     CSV_HEADER,
     ExperimentConfig,
+    cycle_piece,
     main,
     node_memory_bytes,
     recall_at_k,
@@ -135,6 +136,18 @@ def test_include_drops_counts_retransmissions():
     assert a.delivered == b.delivered
     assert b.messages == b.delivered + b.dropped
     assert a.messages == a.delivered
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 3, 7])
+def test_cycle_pieces_are_array_splits(cycles):
+    for length in {0, 1, cycles - 1, cycles, cycles + 1, 3 * cycles - 1, 3 * cycles, 3 * cycles + 2}:
+        stream = np.arange(length, dtype=np.uint32)
+        want = np.array_split(stream, cycles)
+        got = [cycle_piece(stream, cycles, cyc) for cyc in range(cycles)]
+        assert [len(p) for p in got] == [len(p) for p in want]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 def test_auto_engine_selection():

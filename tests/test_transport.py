@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from nettopk.flowtable import FlowEntry, InvariantError
+from nettopk import transport
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
 
@@ -202,8 +203,10 @@ def test_duplicate_delivery_rejected():
     reader, _ = entries_reader([FlowEntry(1, 1), FlowEntry(2, 2)])
     net.broadcast(0, "r", reader, 2)
     delivered, msg = net.step()
-    assert delivered
-    net._make_ready(msg)  # a second copy of a delivered message, queued behind seq 1
+    assert delivered and msg.seq == 0
+    # a second copy of the delivered message, queued behind seq 1: broadcast
+    # 0's seq 0 to its only receiver has handle 0
+    net._requeue(0)
     assert net.step()[1].seq == 1
     with pytest.raises(InvariantError, match="duplicate delivery of message 0 from 0 to 1"):
         net.step()
@@ -228,6 +231,46 @@ def test_ledger_memory_after_drain():
         tracemalloc.stop()
     assert net.delivered_count == len(payload)
     assert held < 2**20, f"{held / 2**20:.2f} MiB held after a {len(payload)}-message drain"
+
+
+@pytest.mark.parametrize("order", list(DeliveryOrder))
+def test_queued_copies_take_a_few_bytes_each(order):
+    # five senders of 2000 entries to four receivers each, then one round
+    # that no receiver may take yet, its copies held aside
+    n, count = 5, 2000
+    payload = [FlowEntry(i + 1, 1) for i in range(count)]
+    reader, _ = entries_reader(payload)
+    tracemalloc.start()
+    try:
+        net = make_net(n, drop=0.1, order=order, seed=2)
+        for sender in range(n):
+            net.broadcast(sender, "a", reader, count)
+        net.broadcast(0, "b", reader, count, requires="a")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.enqueued_count == (n + 1) * (n - 1) * count
+    per_copy = held / net.enqueued_count
+    assert per_copy < 16, f"{per_copy:.1f} bytes per queued copy"
+    drain(net)
+    net.audit_exactly_once()
+    assert net.delivered_count == net.enqueued_count - net.dropped_count
+
+
+def test_broadcasts_beyond_the_handle_layout_rejected(monkeypatch):
+    net = make_net(3)
+    reader, _ = entries_reader([FlowEntry(1, 1)])
+    # 2**40 + 2 copies do not fit below the broadcast index; nothing is read or registered
+    with pytest.raises(InvariantError, match="handle layout"):
+        net.broadcast(0, "r", reader, (1 << 39) + 1)
+    monkeypatch.setattr(transport, "MAX_BROADCASTS", 2)
+    net.broadcast(0, "r", reader, 1)
+    net.broadcast(1, "r", reader, 1)
+    with pytest.raises(InvariantError, match="broadcast 2 of 1 entries"):
+        net.broadcast(2, "r", reader, 1)
+    # the rejected broadcast registered no ledger the audit could find unset
+    assert len(drain(net)) == 4
+    net.audit_exactly_once()
 
 
 def test_event_log_format():

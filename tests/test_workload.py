@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ def test_split_matches_one_pass_per_switch(n, affinity):
     assert len(streams) == n
     for got, want in zip(streams, expected):
         assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_split_peak_memory_per_packet(monkeypatch):
+    # with blocks of 4096 packets the per-block arrays are small next to the
+    # trace; what is left is a byte of draws a packet, then the streams and
+    # the pieces not yet joined into them, one trace long together
+    monkeypatch.setattr(workload, "SPLIT_BLOCK", 1 << 12)
+    tr = gen_zipf(1.0, 1 << 18, 20_000, seed=5)
+    tr.tally  # cached before the split, as read_trace leaves it
+    plan = SplitPlan(k=64, n_switches=10, affinity=0.9, seed=11)
+    tracemalloc.start()
+    try:
+        streams = split_stream(tr, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_packet = peak / len(tr.packets)
+    assert per_packet < 8, f"split peak {per_packet:.1f} bytes a packet"
+    # the draws do not depend on the block size
+    monkeypatch.undo()
+    for got, want in zip(streams, split_stream(tr, plan), strict=True):
         assert np.array_equal(got, want)
 
 
