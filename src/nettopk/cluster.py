@@ -28,7 +28,6 @@ from .protocol import (
     consolidate_into,
     run_cycle,
     run_rounds,
-    _slot_reader,
 )
 from .transport import Network, NetworkConfig
 
@@ -122,8 +121,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
         final = sws[rep].g_topk
         if others:
             net3 = make_net(members, 3000 + cid)
-            reader, count = _slot_reader(final)
-            net3.broadcast(rep, "install", reader, count)
+            net3.broadcast(rep, "install", list(final.entries()))
             rebuilt = {
                 m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
             }

@@ -101,8 +101,10 @@ class TableConfig:
 
 def hash_index(config: TableConfig, vector_i: int, flow_id: int) -> int:
     """Slot index of flow_id in vector vector_i: mix32(id ^ seed) masked to s."""
-    assert 0 <= vector_i < config.d, "vector index out of range"
-    assert flow_id != EMPTY_ID, "empty sentinel is never hashed"
+    if not 0 <= vector_i < config.d:
+        raise ValueError(f"vector index {vector_i} out of range for d={config.d}")
+    if flow_id == EMPTY_ID:
+        raise ValueError(f"flow id {EMPTY_ID} is the empty-slot sentinel")
     return mix32(flow_id ^ config.seeds[vector_i]) & (config.s - 1)
 
 

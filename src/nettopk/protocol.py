@@ -46,6 +46,9 @@ from .flowtable import (
 )
 from .precision import LocalTopKState
 
+# switch ids travel in a 16-bit wire field
+MAX_SWITCHES = 1 << 16
+
 
 class RoundPhase(Enum):
     IDLE = "idle"
@@ -108,7 +111,7 @@ class SwitchState:
     """One switch: five tables plus the current round phase."""
 
     def __init__(self, switch_id: int, config: TableConfig, rng_seed: int) -> None:
-        if not 0 <= switch_id <= 0xFFFF:
+        if not 0 <= switch_id < MAX_SWITCHES:
             raise ValueError("switch_id must fit in 16 bits")
         self.switch_id = switch_id
         self.config = config
@@ -174,26 +177,6 @@ class SwitchState:
         return None
 
 
-def _slot_reader(table: MultiVectorTable):
-    """Re-readable access to a static table's entries by emission index.
-
-    Retransmissions call this again instead of buffering the payload, which
-    is why the source tables must stay static during their round.
-    """
-    coords = [
-        (i, j)
-        for i in range(table.config.d)
-        for j in range(table.config.s)
-        if table.ids[i][j] != EMPTY_ID
-    ]
-
-    def read(seq: int) -> FlowEntry:
-        i, j = coords[seq]
-        return FlowEntry(table.ids[i][j], table.counts[i][j])
-
-    return read, len(coords)
-
-
 @dataclass
 class CycleStats:
     delivered: int
@@ -225,8 +208,7 @@ def run_rounds(switches, net) -> CycleStats:
     base_delivered = net.delivered_count
     base_dropped = net.dropped_count
     for sw in sws.values():
-        reader, count = _slot_reader(sw.snapshot)
-        net.broadcast(sw.switch_id, Round.AGG, reader, count)
+        net.broadcast(sw.switch_id, Round.AGG, list(sw.snapshot.entries()))
     _advance(sws, net, sws)
     completed = net.rounds_completed
     while (ev := net.step()) is not None:
@@ -268,10 +250,10 @@ def _advance(sws, net, todo) -> None:
         sw = sws[todo.popleft()]
         if sw.phase is RoundPhase.AGGREGATION and net.round_complete(sw.switch_id, Round.AGG):
             sw.end_aggregation()
-            reader, count = _slot_reader(sw.sum)
-            net.broadcast(sw.switch_id, Round.CONS, reader, count, requires=Round.AGG)
+            entries = list(sw.sum.entries())
+            net.broadcast(sw.switch_id, Round.CONS, entries, requires=Round.AGG)
             todo.append(sw.switch_id)
-            if count == 0:
+            if not entries:
                 todo.extend(p for p in sws if p != sw.switch_id)
         elif sw.phase is RoundPhase.CONSOLIDATION and net.round_complete(sw.switch_id, Round.CONS):
             sw.end_consolidation()

@@ -3,15 +3,15 @@ round-completion detection.
 
 Senders broadcast the entries of a static table. Each queued copy is
 eventually delivered exactly once: a drop reschedules a retransmission
-that re-reads the same slot from the static source table rather than
-buffering the payload. Registration gives each (receiver, sender, round)
-one byte per message, set on delivery; a delivery whose byte is already
-set is a duplicate, and a byte still unset at audit time is a loss. A
-countdown per (receiver, round) of peers yet to register plus messages yet
-to arrive reaches 0 exactly when the round is complete.
+that resends the entry registered for it, which is what a re-read of the
+static source slot would return. Registration gives each (receiver,
+sender, round) one byte per message, set on delivery; a delivery whose
+byte is already set is a duplicate, and a byte still unset at audit time
+is a loss. A countdown per (receiver, round) of peers yet to register plus
+messages yet to arrive reaches 0 exactly when the round is complete.
 
 A queued copy is one int, its handle. A broadcast registers one record:
-sender, round, receivers, its entries read once, and each receiver's
+sender, round, receivers, its entries as a tuple, and each receiver's
 ledger and countdown key. The handle holds the record's index above
 COPY_BITS and, below them, seq * fanout + the receiver's position among
 the fanout receivers. The whole broadcast is queued at once, about 8 bytes
@@ -106,8 +106,7 @@ class _Broadcast:
     sender: int
     round_key: object
     receivers: tuple
-    reader: object
-    entries: list
+    entries: tuple
     seen: list
     left_keys: list
     queues: list
@@ -187,13 +186,14 @@ class Network:
             for index, pos in waiting:
                 self._open(index, (pos,))
 
-    def broadcast(self, sender, round_key, reader, count: int, requires=None) -> None:
+    def broadcast(self, sender, round_key, entries, requires=None) -> None:
         """Register and enqueue one round's entries from sender to every other participant.
 
-        reader(seq) re-reads entry seq from the sender's static table; it is
-        called once per entry here and once per retransmission. requires
-        names a round the receiver must have completed before delivery is
-        allowed.
+        entries is a sized sequence of FlowEntry from the sender's static
+        table. Entry seq is its seq-th item, and every retransmission of
+        entry seq resends that item, which is what a re-read of the static
+        slot would return. requires names a round the receiver must have
+        completed before delivery is allowed.
         """
         if sender not in self.participants:
             raise InvariantError(f"sender {sender} is not a participant")
@@ -201,6 +201,7 @@ class Network:
             raise InvariantError(f"duplicate registration of round {round_key} from {sender}")
         index = len(self._broadcasts)
         receivers = tuple(p for p in self.participants if p != sender)
+        count = len(entries)
         if index >= MAX_BROADCASTS or count * len(receivers) > COPY_MASK + 1:
             raise InvariantError(
                 f"broadcast {index} of {count} entries to {len(receivers)} receivers "
@@ -215,7 +216,7 @@ class Network:
         for rk in left_keys:
             self._left[rk] = self._left.get(rk, self._peers) - 1 + count
         rec = _Broadcast(
-            sender, round_key, receivers, reader, [reader(seq) for seq in range(count)],
+            sender, round_key, receivers, tuple(entries),
             [bytearray(count) for _ in receivers], left_keys, [None] * len(receivers),
         )
         self._broadcasts.append(rec)
@@ -286,11 +287,8 @@ class Network:
             self.dropped_count += 1
             if self.record_events:
                 self._log("DROP", msg.round_key, msg.sender, msg.receiver, msg.entry)
-            entry = rec.reader(seq)
-            rec.entries[seq] = entry
+                self._log("ENQ", msg.round_key, msg.sender, msg.receiver, msg.entry)
             self.enqueued_count += 1
-            if self.record_events:
-                self._log("ENQ", msg.round_key, msg.sender, msg.receiver, entry)
             # the dropped copy was deliverable, so its receiver had completed
             # any prerequisite round, and a completed round stays complete
             self._requeue(handle)

@@ -125,8 +125,8 @@ def gen_zipf(a: float, num_packets: int, num_flows: int, seed: int) -> Trace:
     for the ids by rank; zipf_ranks maps each draw to the rank
     np.searchsorted would, so a seed's trace is the same byte for byte.
     """
-    if a <= 0:
-        raise ValueError("zipf exponent must be positive")
+    if not 0 < a < float("inf"):
+        raise ValueError(f"zipf exponent must be positive and finite, not {a}")
     if num_flows < 1:
         raise ValueError("need at least one flow")
     if num_flows > MAX_FLOWS:

@@ -228,6 +228,37 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
+def test_non_finite_zipf_rejected(tmp_path, capsys):
+    out = tmp_path / "never.out"
+    sizes = ["--packets", "1000", "--flows", "100"]
+    for zipf in ("nan", "inf"):
+        assert main(["run", "--switches", "3", "--zipf", zipf, *sizes, "--k", "8", "--slots", "64",
+                     "--out", str(out)]) == 1
+        assert main(["gen-trace", "--zipf", zipf, *sizes, "--seed", "1", "--out", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [f"error: zipf exponent must be positive and finite, not {z}"
+                      for z in ("nan", "nan", "inf", "inf")]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["reference", "arrays"])
+def test_switch_count_beyond_16_bits_rejected_before_trace_work(engine, tmp_path, capsys, monkeypatch):
+    small_config(n_switches=65536, engine=engine)
+    with pytest.raises(ValueError, match="--switches must be at most 65536: switch ids are 16 bits"):
+        small_config(n_switches=65537, engine=engine)
+
+    def no_synthesis(*args):
+        raise AssertionError("trace synthesized for a rejected config")
+
+    monkeypatch.setattr(cli, "gen_zipf", no_synthesis)
+    drop = ["--drop", "0.1"] if engine == "reference" else []
+    out = tmp_path / "never.out"
+    assert main(["run", "--switches", "70000", "--zipf", "1.0", "--packets", "1000", "--flows", "100",
+                 "--k", "8", "--engine", engine, *drop, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --switches must be at most 65536: switch ids are 16 bits\n"
+    assert not out.exists()
+
+
 def _fresh_python(*args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -273,19 +304,20 @@ def test_main_keeps_large_arrays_out_of_the_heap(tmp_path):
 OPTIMIZED_PROBE = """
 import sys
 from nettopk.flowtable import FlowEntry, TableConfig, hash_index
+from nettopk.precision import local_estimate
 from nettopk.protocol import InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from nettopk.transport import Network, NetworkConfig
 
-def outcome(check):
+def outcome(check, error=InvariantError):
     try:
         check()
-    except InvariantError:
+    except error:
         return "raised"
     return "passed"
 
 # one of two messages delivered
 net = Network(NetworkConfig(n=2))
-net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)].__getitem__, 2)
+net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)])
 net.step()
 audit = outcome(net.audit_exactly_once)
 
@@ -299,14 +331,19 @@ run_cycle(switches, Network(NetworkConfig(n=2)))
 for sw in switches:
     sw.g_topk.set_entry(0, (j + 1) % cfg.s, FlowEntry(5, 20))
     sw.g_topk.set_entry(0, j, FlowEntry(0, 0))
-print(sys.flags.optimize, audit, outcome(lambda: check_cycle_invariants(switches)))
+invariants = outcome(lambda: check_cycle_invariants(switches))
+
+# the empty-slot sentinel is never a stored flow
+query = outcome(lambda: switches[0].query_flow(0), ValueError)
+local = outcome(lambda: local_estimate(switches[0].l_topk, 0), ValueError)
+print(sys.flags.optimize, audit, invariants, query, local)
 """
 
 
 def test_checks_raise_under_python_O():
     proc = _fresh_python("-O", "-c", OPTIMIZED_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "raised", "raised"]
+    assert proc.stdout.split() == ["1"] + ["raised"] * 4
 
 
 def test_python_m_nettopk_runs_the_cli():

@@ -27,7 +27,7 @@ def test_random_pick_draws_the_randrange_sequence():
     # up to 4096 and the lengths on both sides of it
     seed, count = 11, 4097
     net = Network(NetworkConfig(n=2, delivery_order=DeliveryOrder.RANDOM, seed=seed))
-    net.broadcast(0, "r", lambda seq: FlowEntry(seq + 1, 1), count)
+    net.broadcast(0, "r", [FlowEntry(seq + 1, 1) for seq in range(count)])
     picks = []
     while (ev := net.step()) is not None:
         picks.append(ev[1].seq)

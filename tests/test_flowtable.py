@@ -50,9 +50,11 @@ def test_hash_index_single_slot():
 
 
 def test_hash_index_rejects_bad_args():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="vector index 2 out of range"):
         hash_index(CFG2, 2, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="vector index -1 out of range"):
+        hash_index(CFG2, -1, 1)
+    with pytest.raises(ValueError, match="empty-slot sentinel"):
         hash_index(CFG2, 0, EMPTY_ID)
 
 

@@ -25,6 +25,7 @@ from nettopk.precision import process_packet
 from nettopk.protocol import (
     InvariantError,
     PhaseError,
+    Round,
     RoundPhase,
     SwitchState,
     check_cycle_invariants,
@@ -308,6 +309,30 @@ def test_delivery_schedule_never_changes_outcome(net_seed, drop):
     for a, b in zip(baseline, probe):
         assert a.g_topk.equals(b.g_topk)
         assert a.query.equals(b.query)
+
+
+def test_lossy_cycle_copies_carry_the_frozen_tables():
+    # a retransmission resends its registered entry; that equals a re-read
+    # of the sender's slot because Snapshot is frozen through aggregation
+    # and Sum through consolidation, so each copy, dropped or delivered,
+    # carries a pair of the table its round sends
+    switches = ingested_switches(4, CFG, stream_seed=3)
+    net = Network(NetworkConfig(n=4, drop_probability=0.3, delivery_order=DeliveryOrder.RANDOM,
+                                seed=9), record_events=True)
+    run_cycle(switches, net)
+    net.audit_exactly_once()
+    sent = {}
+    for sw in switches:
+        sent[f"{Round.AGG}", sw.switch_id] = {(e.id, e.count) for e in sw.snapshot.entries()}
+        sent[f"{Round.CONS}", sw.switch_id] = {(e.id, e.count) for e in sw.sum.entries()}
+    dropped_rounds = set()
+    for line in net.events:
+        _, kind, round_key, sender, _, fid, count = line.split(",")
+        if kind in ("DELIVER", "DROP"):
+            assert (int(fid), int(count)) in sent[round_key, int(sender)], line
+        if kind == "DROP":
+            dropped_rounds.add(round_key)
+    assert dropped_rounds == {f"{Round.AGG}", f"{Round.CONS}"}
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,16 +14,6 @@ def make_net(n, drop=0.0, order=DeliveryOrder.FIFO_PER_PAIR, seed=0, record=Fals
                                  seed=seed), record_events=record)
 
 
-def entries_reader(entries):
-    calls = {"n": 0}
-
-    def read(seq):
-        calls["n"] += 1
-        return entries[seq]
-
-    return read, calls
-
-
 def drain(net):
     """Step until idle; returns the (delivered, message) pairs in order."""
     events = []
@@ -47,8 +37,7 @@ def test_lossless_exactly_once():
     net = make_net(3)
     payload = [FlowEntry(i + 1, 10 * (i + 1)) for i in range(4)]
     for sender in range(3):
-        reader, _ = entries_reader(payload)
-        net.broadcast(sender, "r", reader, len(payload))
+        net.broadcast(sender, "r", payload)
     events = drain(net)
     assert len(events) == 3 * 2 * 4
     assert all(delivered for delivered, _ in events)
@@ -61,26 +50,24 @@ def test_lossless_exactly_once():
 def test_drops_are_retransmitted_until_delivered():
     net = make_net(2, drop=0.5, seed=11)
     payload = [FlowEntry(i + 1, i + 1) for i in range(16)]
-    reader, calls = entries_reader(payload)
-    net.broadcast(0, "r", reader, len(payload))
+    net.broadcast(0, "r", payload)
     events = drain(net)
     drops = [msg for delivered, msg in events if not delivered]
     assert drops  # at p=0.5 over 16 messages this seed drops plenty
     net.audit_exactly_once()
-    assert net.delivered_count == 16
-    # every retransmission re-reads the static source instead of buffering
-    assert calls["n"] == 16 + len(drops)
+    # each seq is delivered once, and every copy of it, dropped or
+    # delivered, carries the entry registered for it
+    assert sorted(msg.seq for delivered, msg in events if delivered) == list(range(16))
+    assert all(msg.entry == payload[msg.seq] for _, msg in events)
 
 
 def test_round_completion_needs_every_peer():
     net = make_net(3)
     payload = [FlowEntry(1, 1)]
-    r0, _ = entries_reader(payload)
-    net.broadcast(0, "r", r0, 1)
+    net.broadcast(0, "r", payload)
     drain(net)
     assert not net.round_complete(2, "r")  # switch 1 has not broadcast yet
-    r1, _ = entries_reader(payload)
-    net.broadcast(1, "r", r1, 1)
+    net.broadcast(1, "r", payload)
     drain(net)
     assert net.round_complete(2, "r")
 
@@ -88,8 +75,7 @@ def test_round_completion_needs_every_peer():
 def test_zero_entry_broadcasts_complete_rounds():
     net = make_net(3)
     for sender in range(3):
-        reader, _ = entries_reader([])
-        net.broadcast(sender, "r", reader, 0)
+        net.broadcast(sender, "r", [])
     assert drain(net) == []
     for receiver in range(3):
         assert net.round_complete(receiver, "r")
@@ -100,10 +86,8 @@ def test_dependent_round_held_until_prerequisite_completes():
     net = make_net(2, record=True)
     first = [FlowEntry(1, 1), FlowEntry(2, 2)]
     second = [FlowEntry(3, 3)]
-    ra, _ = entries_reader(first)
-    net.broadcast(0, "a", ra, len(first))
-    rb, _ = entries_reader(second)
-    net.broadcast(0, "b", rb, len(second), requires="a")
+    net.broadcast(0, "a", first)
+    net.broadcast(0, "b", second, requires="a")
     # receiver 1's round "a" is incomplete until both entries arrive
     first_kinds = []
     while not net.round_complete(1, "a"):
@@ -118,12 +102,10 @@ def test_dependent_round_held_until_prerequisite_completes():
 
 def test_prerequisite_already_met_delivers_immediately():
     net = make_net(2)
-    ra, _ = entries_reader([FlowEntry(1, 1)])
-    net.broadcast(0, "a", ra, 1)
+    net.broadcast(0, "a", [FlowEntry(1, 1)])
     drain(net)
     assert net.round_complete(1, "a")
-    rb, _ = entries_reader([FlowEntry(2, 2)])
-    net.broadcast(0, "b", rb, 1, requires="a")
+    net.broadcast(0, "b", [FlowEntry(2, 2)], requires="a")
     events = drain(net)
     assert [msg.round_key for _, msg in events] == ["b"]
 
@@ -131,10 +113,8 @@ def test_prerequisite_already_met_delivers_immediately():
 def test_permanently_blocked_messages_are_a_stall():
     net = make_net(3)
     # sender 0 never completes round "a" for receiver 1 (sender 2 missing)
-    ra, _ = entries_reader([FlowEntry(1, 1)])
-    net.broadcast(0, "a", ra, 1)
-    rb, _ = entries_reader([FlowEntry(2, 2)])
-    net.broadcast(0, "b", rb, 1, requires="a")
+    net.broadcast(0, "a", [FlowEntry(1, 1)])
+    net.broadcast(0, "b", [FlowEntry(2, 2)], requires="a")
     with pytest.raises(AssertionError):
         drain(net)
 
@@ -143,8 +123,7 @@ def test_fifo_per_pair_preserves_sequence_order():
     net = make_net(3, order=DeliveryOrder.FIFO_PER_PAIR, seed=4)
     payload = [FlowEntry(i + 1, i + 1) for i in range(8)]
     for sender in range(3):
-        reader, _ = entries_reader(payload)
-        net.broadcast(sender, "r", reader, len(payload))
+        net.broadcast(sender, "r", payload)
     events = drain(net)
     per_pair = {}
     for _, msg in events:
@@ -158,8 +137,7 @@ def test_random_order_is_seed_deterministic():
         net = make_net(3, order=DeliveryOrder.RANDOM, seed=seed)
         payload = [FlowEntry(i + 1, i + 1) for i in range(8)]
         for sender in range(3):
-            reader, _ = entries_reader(payload)
-            net.broadcast(sender, "r", reader, len(payload))
+            net.broadcast(sender, "r", payload)
         return [(msg.sender, msg.receiver, msg.seq) for _, msg in drain(net)]
 
     a = run(7)
@@ -172,17 +150,15 @@ def test_random_order_is_seed_deterministic():
 
 def test_duplicate_round_registration_rejected():
     net = make_net(2)
-    reader, _ = entries_reader([FlowEntry(1, 1)])
-    net.broadcast(0, "r", reader, 1)
+    net.broadcast(0, "r", [FlowEntry(1, 1)])
     with pytest.raises(AssertionError):
-        net.broadcast(0, "r", reader, 1)
+        net.broadcast(0, "r", [FlowEntry(1, 1)])
 
 
 def test_non_participant_sender_rejected():
     net = make_net(2)
-    reader, _ = entries_reader([FlowEntry(1, 1)])
     with pytest.raises(InvariantError, match="sender 5 is not a participant"):
-        net.broadcast(5, "r", reader, 1)
+        net.broadcast(5, "r", [FlowEntry(1, 1)])
     # nothing was registered: neither participant's round counts a peer as done
     assert not net.round_complete(0, "r")
     assert not net.round_complete(1, "r")
@@ -191,8 +167,7 @@ def test_non_participant_sender_rejected():
 
 def test_audit_flags_incomplete_round():
     net = make_net(2)
-    reader, _ = entries_reader([FlowEntry(1, 1), FlowEntry(2, 2)])
-    net.broadcast(0, "r", reader, 2)
+    net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)])
     net.step()  # deliver only one of two
     with pytest.raises(AssertionError, match="message 1 from 0 to 1 lost"):
         net.audit_exactly_once()
@@ -200,8 +175,7 @@ def test_audit_flags_incomplete_round():
 
 def test_duplicate_delivery_rejected():
     net = make_net(2)
-    reader, _ = entries_reader([FlowEntry(1, 1), FlowEntry(2, 2)])
-    net.broadcast(0, "r", reader, 2)
+    net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)])
     delivered, msg = net.step()
     assert delivered and msg.seq == 0
     # a second copy of the delivered message, queued behind seq 1: broadcast
@@ -218,11 +192,10 @@ def test_duplicate_delivery_rejected():
 
 def test_ledger_memory_after_drain():
     payload = [FlowEntry(i + 1, 1) for i in range(50_000)]
-    reader, _ = entries_reader(payload)
     tracemalloc.start()
     try:
         net = make_net(2, drop=0.2, seed=1)
-        net.broadcast(0, "r", reader, len(payload))
+        net.broadcast(0, "r", payload)
         while net.step() is not None:
             pass
         net.audit_exactly_once()
@@ -239,13 +212,12 @@ def test_queued_copies_take_a_few_bytes_each(order):
     # that no receiver may take yet, its copies held aside
     n, count = 5, 2000
     payload = [FlowEntry(i + 1, 1) for i in range(count)]
-    reader, _ = entries_reader(payload)
     tracemalloc.start()
     try:
         net = make_net(n, drop=0.1, order=order, seed=2)
         for sender in range(n):
-            net.broadcast(sender, "a", reader, count)
-        net.broadcast(0, "b", reader, count, requires="a")
+            net.broadcast(sender, "a", payload)
+        net.broadcast(0, "b", payload, requires="a")
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,15 +231,16 @@ def test_queued_copies_take_a_few_bytes_each(order):
 
 def test_broadcasts_beyond_the_handle_layout_rejected(monkeypatch):
     net = make_net(3)
-    reader, _ = entries_reader([FlowEntry(1, 1)])
-    # 2**40 + 2 copies do not fit below the broadcast index; nothing is read or registered
+    payload = [FlowEntry(1, 1)]
+    # 2**40 + 2 copies do not fit below the broadcast index; the check reads
+    # only len(), so nothing is copied or registered
     with pytest.raises(InvariantError, match="handle layout"):
-        net.broadcast(0, "r", reader, (1 << 39) + 1)
+        net.broadcast(0, "r", range((1 << 39) + 1))
     monkeypatch.setattr(transport, "MAX_BROADCASTS", 2)
-    net.broadcast(0, "r", reader, 1)
-    net.broadcast(1, "r", reader, 1)
+    net.broadcast(0, "r", payload)
+    net.broadcast(1, "r", payload)
     with pytest.raises(InvariantError, match="broadcast 2 of 1 entries"):
-        net.broadcast(2, "r", reader, 1)
+        net.broadcast(2, "r", payload)
     # the rejected broadcast registered no ledger the audit could find unset
     assert len(drain(net)) == 4
     net.audit_exactly_once()
@@ -275,8 +248,7 @@ def test_broadcasts_beyond_the_handle_layout_rejected(monkeypatch):
 
 def test_event_log_format():
     net = make_net(2, drop=0.4, seed=3, record=True)
-    reader, _ = entries_reader([FlowEntry(9, 90), FlowEntry(8, 80)])
-    net.broadcast(0, "r", reader, 2)
+    net.broadcast(0, "r", [FlowEntry(9, 90), FlowEntry(8, 80)])
     drain(net)
     assert net.events
     kinds = set()
@@ -293,8 +265,7 @@ def test_event_log_format():
 
 def test_counters_track_enqueues():
     net = make_net(2, drop=0.5, seed=5)
-    reader, _ = entries_reader([FlowEntry(i + 1, 1) for i in range(10)])
-    net.broadcast(0, "r", reader, 10)
+    net.broadcast(0, "r", [FlowEntry(i + 1, 1) for i in range(10)])
     drain(net)
     assert net.enqueued_count == 10 + net.dropped_count
     assert net.delivered_count == 10
