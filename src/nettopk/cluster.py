@@ -126,10 +126,9 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
                 m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
             }
             slots = SlotMap(final.config, [final])
-            while (ev := net3.step()) is not None:
-                delivered, msg = ev
-                if delivered:
-                    consolidate_into(rebuilt[msg.receiver], msg.entry.id, msg.entry.count, slots=slots)
+            handlers = {(m, "install"): _replayer(table, slots) for m, table in rebuilt.items()}
+            while net3.step(handlers) is not None:
+                pass
             net3.audit_exactly_once()
             p3.delivered += net3.delivered_count
             p3.dropped += net3.dropped_count
@@ -138,6 +137,11 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
 
     check_identical_tables(switches, "query")
     return ClusteredStats(p1, p2, p3)
+
+
+def _replayer(table: MultiVectorTable, slots: SlotMap):
+    """Phase 3's delivery handler: walk each received entry into table."""
+    return lambda sender, entry: consolidate_into(table, entry.id, entry.count, slots=slots)
 
 
 # Closed-form lossless message counts.

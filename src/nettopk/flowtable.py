@@ -18,6 +18,8 @@ The AccessLog mechanizes the feed-forward constraint of a switch pipeline:
 stages (vectors) are traversed in order, and within a stage the two fields
 live in distinct ALUs whose order is fixed per table. A recorded access
 sequence that would require moving backwards is rejected by verify().
+Operations are written once, on a table's rows; logged_rows gives them
+views of the rows that record each slot access to a log.
 """
 
 from __future__ import annotations
@@ -278,13 +280,42 @@ class AccessLog:
             pos = here
 
 
+class _LoggedRow:
+    """Vector i's row of one field; each read and write of a slot records
+    (i, field, READ or WRITE) to the log."""
+
+    __slots__ = ("row", "vector", "field", "log")
+
+    def __init__(self, row: list, vector: int, f: Field, log: AccessLog) -> None:
+        self.row, self.vector, self.field, self.log = row, vector, f, log
+
+    def __getitem__(self, j: int) -> int:
+        self.log.record(self.vector, self.field, Mode.READ)
+        return self.row[j]
+
+    def __setitem__(self, j: int, value: int) -> None:
+        self.log.record(self.vector, self.field, Mode.WRITE)
+        self.row[j] = value
+
+
+def logged_rows(table: "MultiVectorTable", log: AccessLog | None = None) -> tuple:
+    """(ids, counts): the table's rows, indexed [vector][slot]. With a log,
+    views of them that record each slot read and write as a (vector, Field,
+    Mode) tuple, so one operation, written on rows, also proves its order."""
+    if log is None:
+        return table.ids, table.counts
+    ids = [_LoggedRow(row, i, Field.ID, log) for i, row in enumerate(table.ids)]
+    counts = [_LoggedRow(row, i, Field.COUNT, log) for i, row in enumerate(table.counts)]
+    return ids, counts
+
+
 class MultiVectorTable:
     """d x s slots of FlowEntry with per-vector seeded hashing.
 
-    Accessors optionally record to an AccessLog so operations can prove
-    they respect pipeline order. Reads and writes take (vector, index)
-    coordinates; placement at the hash index is the caller's contract,
-    checkable after the fact with check_placement().
+    ids[i][j] and counts[i][j] are slot j of vector i. Operations work on
+    these rows, through logged_rows when they record an AccessLog to prove
+    they respect pipeline order. Placement at the hash index is the
+    caller's contract, checkable after the fact with check_placement().
     """
 
     __slots__ = ("config", "field_order", "ids", "counts")
@@ -295,26 +326,6 @@ class MultiVectorTable:
         self.ids = [[EMPTY_ID] * config.s for _ in range(config.d)]
         self.counts = [[EMPTY_COUNT] * config.s for _ in range(config.d)]
 
-    def read_id(self, vector: int, index: int, log: AccessLog | None = None) -> int:
-        if log is not None:
-            log.record(vector, Field.ID, Mode.READ)
-        return self.ids[vector][index]
-
-    def write_id(self, vector: int, index: int, value: int, log: AccessLog | None = None) -> None:
-        if log is not None:
-            log.record(vector, Field.ID, Mode.WRITE)
-        self.ids[vector][index] = value
-
-    def read_count(self, vector: int, index: int, log: AccessLog | None = None) -> int:
-        if log is not None:
-            log.record(vector, Field.COUNT, Mode.READ)
-        return self.counts[vector][index]
-
-    def write_count(self, vector: int, index: int, value: int, log: AccessLog | None = None) -> None:
-        if log is not None:
-            log.record(vector, Field.COUNT, Mode.WRITE)
-        self.counts[vector][index] = value
-
     def set_entry(self, vector: int, index: int, entry: FlowEntry) -> None:
         """Place an entry directly (test and copy plumbing, not a pipeline op)."""
         self.ids[vector][index] = entry.id
@@ -322,12 +333,10 @@ class MultiVectorTable:
 
     def entries(self) -> Iterator[FlowEntry]:
         """Non-empty entries, vector-major then index order."""
-        for i in range(self.config.d):
-            ids_i = self.ids[i]
-            counts_i = self.counts[i]
-            for j in range(self.config.s):
-                if ids_i[j] != EMPTY_ID:
-                    yield FlowEntry(ids_i[j], counts_i[j])
+        for ids_i, counts_i in zip(self.ids, self.counts):
+            for fid, count in zip(ids_i, counts_i):
+                if fid != EMPTY_ID:
+                    yield FlowEntry(fid, count)
 
     def occupancy(self) -> int:
         return sum(1 for _ in self.entries())

@@ -9,13 +9,13 @@ but every such second pass is tallied so recirculation load is reportable.
 
 Randomness is an explicit splitmix64 state per switch, so whole-network
 runs are bit-reproducible. process_packet states the rule per packet on the
-table's accessors and can record the AccessLog that proves pipeline
-legality; it is the reference. ingest applies it to a stream, and both
-engines ingest through it. For d=2, the paper's configuration, it hashes
-each block of packets once with numpy, then one loop works on the table's
-row lists directly, with both probes unrolled. splitmix64's state is a
-Weyl sequence, so the loop takes its draws from numpy chunks computed ahead
-and advances the state by the draws it used. Any other d runs
+table's rows and, through flowtable.logged_rows, can record the AccessLog
+that proves pipeline legality; it is the reference. ingest applies it to a
+stream, and both engines ingest through it. For d=2, the paper's
+configuration, it hashes each block of packets once with numpy, then one
+loop works on the table's row lists directly, with both probes unrolled.
+splitmix64's state is a Weyl sequence, so the loop takes its draws from
+numpy chunks computed ahead and advances the state by the draws it used. Any other d runs
 process_packet on each packet. Tests require ingest to match a
 process_packet loop exactly and pin the chunks to splitmix64.
 """
@@ -34,6 +34,7 @@ from .flowtable import (
     MultiVectorTable,
     TableConfig,
     hash_index,
+    logged_rows,
     vector_hash_indices,
 )
 
@@ -117,18 +118,17 @@ def process_packet(state: LocalTopKState, flow_id: int, log: AccessLog | None = 
     """Account one packet of flow_id into the local top-k table."""
     if flow_id == EMPTY_ID:
         raise ValueError(f"flow id {EMPTY_ID} is the empty-slot sentinel")
-    table = state.table
-    config = table.config
+    config = state.table.config
+    ids, counts = logged_rows(state.table, log)
     min_count = -1
     min_vec = 0
     min_idx = 0
     for i in range(config.d):
         j = hash_index(config, i, flow_id)
-        if table.read_id(i, j, log) == flow_id:
-            c = table.read_count(i, j, log)
-            table.write_count(i, j, c + 1, log)
+        if ids[i][j] == flow_id:
+            counts[i][j] += 1
             return
-        c = table.read_count(i, j, log)
+        c = counts[i][j]
         if min_count < 0 or c < min_count:
             min_count = c
             min_vec = i
@@ -141,8 +141,8 @@ def process_packet(state: LocalTopKState, flow_id: int, log: AccessLog | None = 
     state.recirculations += 1
     if log is not None:
         log.recirculate()
-    table.write_id(min_vec, min_idx, flow_id, log)
-    table.write_count(min_vec, min_idx, min_count + 1, log)
+    ids[min_vec][min_idx] = flow_id
+    counts[min_vec][min_idx] = min_count + 1
 
 
 def ingest(state: LocalTopKState, packets) -> None:
@@ -217,6 +217,6 @@ def local_estimate(state: LocalTopKState, flow_id: int) -> int | None:
     table = state.table
     for i in range(table.config.d):
         j = hash_index(table.config, i, flow_id)
-        if table.read_id(i, j) == flow_id:
-            return table.read_count(i, j)
+        if table.ids[i][j] == flow_id:
+            return table.counts[i][j]
     return None

@@ -17,11 +17,16 @@ runs flowtable's post-cycle checks, shared with the bulk engine, on the
 switches' tables after every simulated cycle.
 
 run_cycle drives the object model through a simulated transport (any
-delivery order, optional loss), message by message. A delivery can end a
-round only at its receiver, and the transport counts each delivery that
-does, so run_rounds checks a switch for completion only after such a
-delivery, never after the others. Every id a cycle's messages carry is
-hashed once, into a SlotMap that all participants share.
+delivery order, optional loss), message by message: the transport's step
+calls each switch's handler for its deliveries. A delivery can end a round
+only at its receiver, and step returns at each delivery that does, so
+run_rounds checks a switch for completion only after such a delivery,
+never after the others. Every id a cycle's messages carry is hashed once,
+into a SlotMap that all participants share.
+
+The handlers and consolidate_into work on table rows, ids[i][j] and
+counts[i][j]. Given an AccessLog, they run over flowtable.logged_rows
+views, which record each access, to prove the pipeline order.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .flowtable import (
     check_gtopk_rows,
     check_identical_rows,
     check_sum_rows,
+    logged_rows,
     snapshot_copy,
 )
 from .precision import LocalTopKState
@@ -87,23 +93,26 @@ def consolidate_into(
     """
     if slots is None:
         slots = SlotMap(table.config)
+    ids, counts = logged_rows(table, log)
     for i in range(table.config.d):
         j = slots[pid][i]
-        scount = table.read_count(i, j, log)
+        ids_i = ids[i]
+        counts_i = counts[i]
+        scount = counts_i[j]
         if pcount > scount:
-            table.write_count(i, j, pcount, log)
-            sid = table.read_id(i, j, log)
-            table.write_id(i, j, pid, log)
+            counts_i[j] = pcount
+            sid = ids_i[j]
+            ids_i[j] = pid
             if sid == EMPTY_ID:
                 return
             pid = sid
             pcount = scount
         elif pcount == scount:
-            sid = table.read_id(i, j, log)
+            sid = ids_i[j]
             if sid == pid:
                 return
             if pid > sid:
-                table.write_id(i, j, pid, log)
+                ids_i[j] = pid
                 pid = sid
 
 
@@ -144,10 +153,11 @@ class SwitchState:
         if sender == self.switch_id:
             raise InvariantError(f"switch {sender} received its own packet")
         fid = entry.id
+        snap_ids, _ = logged_rows(self.snapshot, log)
+        _, sum_counts = logged_rows(self.sum, log)
         for i, j in enumerate(self.slots[fid]):
-            if self.snapshot.read_id(i, j, log) == fid:
-                c = self.sum.read_count(i, j, log)
-                self.sum.write_count(i, j, c + entry.count, log)
+            if snap_ids[i][j] == fid:
+                sum_counts[i][j] += entry.count
                 return
         # id not local: disregarded
 
@@ -172,8 +182,8 @@ class SwitchState:
     def query_flow(self, flow_id: int) -> int | None:
         """Stored global count for flow_id in the Query table, else None."""
         for i, j in enumerate(self.slots[flow_id]):
-            if self.query.read_id(i, j) == flow_id:
-                return self.query.read_count(i, j)
+            if self.query.ids[i][j] == flow_id:
+                return self.query.counts[i][j]
         return None
 
 
@@ -207,21 +217,15 @@ def run_rounds(switches, net) -> CycleStats:
         sw.slots = slots
     base_delivered = net.delivered_count
     base_dropped = net.dropped_count
+    handlers = {}
+    for sid, sw in sws.items():
+        handlers[sid, Round.AGG] = sw.handle_aggregation_packet
+        handlers[sid, Round.CONS] = sw.handle_consolidation_packet
     for sw in sws.values():
         net.broadcast(sw.switch_id, Round.AGG, list(sw.snapshot.entries()))
     _advance(sws, net, sws)
-    completed = net.rounds_completed
-    while (ev := net.step()) is not None:
-        delivered, msg = ev
-        if delivered:
-            sw = sws[msg.receiver]
-            if msg.round_key is Round.AGG:
-                sw.handle_aggregation_packet(msg.sender, msg.entry)
-            else:
-                sw.handle_consolidation_packet(msg.sender, msg.entry)
-            if net.rounds_completed != completed:
-                completed = net.rounds_completed
-                _advance(sws, net, (msg.receiver,))
+    while (receiver := net.step(handlers)) is not None:
+        _advance(sws, net, (receiver,))
     for sw in sws.values():
         if sw.phase is not RoundPhase.IDLE:
             raise InvariantError(f"switch {sw.switch_id} stuck in {sw.phase.value}")
@@ -238,10 +242,10 @@ def _advance(sws, net, todo) -> None:
     A (receiver, round) completes only when a message is delivered to the
     receiver or a peer registers a zero-entry broadcast to it. So run_rounds
     checks every switch once after the AGG broadcasts, and then only the
-    receiver of a delivery that completed its round, which the transport
-    reports by counting it in rounds_completed. A switch that ends
-    aggregation re-checks itself (its peers' CONS broadcasts to it may all
-    have been empty) and, if its own CONS broadcast is empty, its peers.
+    receiver of a delivery that completed its round, which the transport's
+    step returns. A switch that ends aggregation re-checks itself (its
+    peers' CONS broadcasts to it may all have been empty) and, if its own
+    CONS broadcast is empty, its peers.
     todo is first in, first out, so CONS broadcasts are registered in the
     order AGG rounds complete.
     """

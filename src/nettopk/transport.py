@@ -8,14 +8,18 @@ static source slot would return. Registration gives each (receiver,
 sender, round) one byte per message, set on delivery; a delivery whose
 byte is already set is a duplicate, and a byte still unset at audit time
 is a loss. A countdown per (receiver, round) of peers yet to register plus
-messages yet to arrive reaches 0 exactly when the round is complete.
+messages yet to arrive reaches 0 exactly when the round is complete. Once
+every participant has completed a round, no copy of it is left to send,
+and its records drop their entries.
 
-A queued copy is one int, its handle. A broadcast registers one record:
-sender, round, receivers, its entries as a tuple, and each receiver's
-ledger and countdown key. The handle holds the record's index above
-COPY_BITS and, below them, seq * fanout + the receiver's position among
-the fanout receivers. The whole broadcast is queued at once, about 8 bytes
-a copy, and step builds a Message only for the copy it returns.
+A broadcast registers one record: sender, round, receivers, its entries as
+a tuple, and each receiver's ledger and countdown key. The whole broadcast
+is queued at once. Under RANDOM order a queued copy is one int, its
+handle: the record's index above COPY_BITS and, below them, seq * fanout +
+the receiver's position among the fanout receivers, about 8 bytes a copy.
+Under FIFO_PER_PAIR order a pair queue holds its record, the receiver's
+position and a run of seqs, so a copy costs a few bytes and its pick
+decodes nothing.
 
 A broadcast may declare that its delivery requires the receiver to have
 completed an earlier round (consolidation packets must not reach a switch
@@ -28,15 +32,15 @@ never stalls.
 Delivery order is either FIFO_PER_PAIR (per sender-receiver queue, fair
 rotation across queues) or RANDOM (uniform over all deliverable copies).
 The RANDOM pool is an array of handles, appended to in enqueue order and
-picked by swap-remove. A FIFO pair queue is the run of its original
-copies' handles followed by its retransmissions. Everything is
-deterministic given the config seed.
+picked by swap-remove. A FIFO pair queue is the run of its original seqs
+followed by its retransmissions. Everything is deterministic given the
+config seed.
 
-Each step() delivers or drops exactly one copy and returns
-(delivered, message); it returns None once nothing is deliverable. A
-delivery that completes its receiver's round also adds 1 to
-rounds_completed, so a caller learns of each completion from the step that
-caused it, without asking round_complete after every delivery.
+step(handlers) is the one delivery loop. It picks, drops or delivers
+copies, calling handlers[(receiver, round)](sender, entry) for each
+delivery, until a delivery completes its receiver's round; it returns that
+receiver, so the caller acts on each completion as it happens, or None
+once nothing is deliverable.
 """
 
 from __future__ import annotations
@@ -76,32 +80,23 @@ class NetworkConfig:
 
 
 @dataclass(slots=True)
-class Message:
-    """The copy of entry seq of sender's round_key broadcast that one step
-    delivered or dropped; step builds it from the copy's handle."""
-
-    receiver: int
-    sender: int
-    round_key: object
-    seq: int
-    entry: FlowEntry
-
-
-@dataclass(slots=True)
 class _PairQueue:
-    """One FIFO sender-receiver queue: the handles next, next + stride, ...
-    below stop, its original copies in seq order, then its retransmissions."""
+    """One FIFO sender-receiver queue: the seqs next, next + 1, ... below
+    stop, its original copies, then its retransmissions, all to the receiver
+    at position pos of broadcast rec."""
 
+    rec: "_Broadcast"
+    pos: int
     next: int
     stop: int
-    stride: int
     retries: deque | None = None
 
 
 @dataclass(slots=True)
 class _Broadcast:
     """One registered (sender, round) broadcast; per receiver position, its
-    ledger, its countdown key and, under FIFO order, its pair queue."""
+    ledger and its countdown key. entries is emptied once every participant
+    has completed the round, when no copy of it is left to send."""
 
     sender: int
     round_key: object
@@ -109,7 +104,6 @@ class _Broadcast:
     entries: tuple
     seen: list
     left_keys: list
-    queues: list
 
 
 class Network:
@@ -124,8 +118,6 @@ class Network:
         self.delivered_count = 0
         self.dropped_count = 0
         self.enqueued_count = 0
-        # deliveries that completed their receiver's round
-        self.rounds_completed = 0
         self.events: list[str] = []
         self._rng = random.Random(config.seed)
         self._drop = config.drop_probability
@@ -136,6 +128,8 @@ class Network:
         # per (receiver, round): peers yet to register plus messages yet to
         # arrive; neither term goes negative, so 0 means the round is complete
         self._left: dict[tuple, int] = {}
+        # per round: receivers that have completed it
+        self._completed: dict[object, int] = {}
         self._requires: dict[object, object] = {}
         self._time = 0
         # deliverable copies: the RANDOM pool of handles, or the FIFO pair
@@ -154,37 +148,31 @@ class Network:
         """Make broadcast index's original copies to the receivers at positions deliverable."""
         rec = self._broadcasts[index]
         fanout = len(rec.receivers)
-        base = index << COPY_BITS
-        stop = base + len(rec.entries) * fanout
+        count = len(rec.entries)
         if self._random_order:
+            base = index << COPY_BITS
+            stop = base + count * fanout
             if len(positions) == fanout:
                 self._ready.extend(range(base, stop))
             else:
                 self._ready.extend(h + pos for h in range(base, stop, fanout) for pos in positions)
             return
-        for pos in positions:
-            q = _PairQueue(base + pos, stop + pos, fanout)
-            rec.queues[pos] = q
-            self._rotation.append(q)
+        self._rotation.extend(_PairQueue(rec, pos, 0, count) for pos in positions)
 
-    def _requeue(self, handle: int) -> None:
-        """Queue a dropped copy again: last in the RANDOM pool, or last in its FIFO pair queue."""
-        if self._random_order:
-            self._ready.append(handle)
-            return
-        rec = self._broadcasts[handle >> COPY_BITS]
-        q = rec.queues[(handle & COPY_MASK) % len(rec.receivers)]
-        if q.next == q.stop and not q.retries:
-            self._rotation.append(q)
-        if q.retries is None:
-            q.retries = deque()
-        q.retries.append(handle)
-
-    def _release(self, receiver_round) -> None:
+    def _complete(self, receiver_round) -> None:
+        """Receiver completed the round: release the copies waiting on it and,
+        once every participant has completed the round, drop its entries."""
         waiting = self._blocked.pop(receiver_round, None)
         if waiting:
             for index, pos in waiting:
                 self._open(index, (pos,))
+        round_key = receiver_round[1]
+        done = self._completed.get(round_key, 0) + 1
+        self._completed[round_key] = done
+        if done == len(self.participants):
+            for rec in self._broadcasts:
+                if rec.round_key == round_key:
+                    rec.entries = ()
 
     def broadcast(self, sender, round_key, entries, requires=None) -> None:
         """Register and enqueue one round's entries from sender to every other participant.
@@ -213,11 +201,9 @@ class Network:
                 raise InvariantError(f"round {round_key} requires {prev}, not {requires}")
         self._registered.add((sender, round_key))
         left_keys = [(receiver, round_key) for receiver in receivers]
-        for rk in left_keys:
-            self._left[rk] = self._left.get(rk, self._peers) - 1 + count
         rec = _Broadcast(
             sender, round_key, receivers, tuple(entries),
-            [bytearray(count) for _ in receivers], left_keys, [None] * len(receivers),
+            [bytearray(count) for _ in receivers], left_keys,
         )
         self._broadcasts.append(rec)
         self.enqueued_count += count * len(receivers)
@@ -225,6 +211,11 @@ class Network:
             for entry in rec.entries:
                 for receiver in receivers:
                     self._log("ENQ", round_key, sender, receiver, entry)
+        for rk in left_keys:
+            left = self._left.get(rk, self._peers) - 1 + count
+            self._left[rk] = left
+            if not left:
+                self._complete(rk)
         if not count:
             return
         if requires is None:
@@ -240,76 +231,102 @@ class Network:
 
     # delivery
 
-    def _pick(self) -> int | None:
-        if self._random_order:
-            ready = self._ready
-            n = len(ready)
-            if not n:
-                return None
-            # randrange(n) as CPython 3.11 computes it, without its call layers
-            k = n.bit_length()
-            idx = self._rng.getrandbits(k)
-            while idx >= n:
-                idx = self._rng.getrandbits(k)
-            handle = ready[idx]
-            ready[idx] = ready[-1]
-            ready.pop()
-            return handle
-        rotation = self._rotation
-        if not rotation:
-            return None
-        q = rotation.popleft()
-        handle = q.next
-        if handle != q.stop:
-            q.next = handle + q.stride
-        else:
-            handle = q.retries.popleft()
-        if q.next != q.stop or q.retries:
-            rotation.append(q)
-        return handle
+    def step(self, handlers) -> object | None:
+        """Deliver or drop copies until a delivery completes its receiver's
+        round; return that receiver, or None once nothing is deliverable.
 
-    def step(self) -> tuple[bool, Message] | None:
-        """Deliver or drop the next deliverable copy; None when idle.
-
-        Returns (True, msg) for a delivery and (False, msg) for a drop,
-        whose retransmission is already enqueued.
+        Each delivery calls handlers[(receiver, round_key)](sender, entry),
+        the handler of the countdown key it counts down. A drop queues a
+        retransmission: last in the RANDOM pool, or last in its FIFO pair
+        queue. A copy whose ledger byte is already set raises before its
+        entry is read.
         """
-        handle = self._pick()
-        if handle is None:
-            if any(self._blocked.values()):
-                raise InvariantError("transport stalled on blocked messages")
-            return None
-        self._time += 1
-        rec = self._broadcasts[handle >> COPY_BITS]
-        seq, pos = divmod(handle & COPY_MASK, len(rec.receivers))
-        msg = Message(rec.receivers[pos], rec.sender, rec.round_key, seq, rec.entries[seq])
-        if self._drop and self._rng.random() < self._drop:
-            self.dropped_count += 1
-            if self.record_events:
-                self._log("DROP", msg.round_key, msg.sender, msg.receiver, msg.entry)
-                self._log("ENQ", msg.round_key, msg.sender, msg.receiver, msg.entry)
-            self.enqueued_count += 1
-            # the dropped copy was deliverable, so its receiver had completed
-            # any prerequisite round, and a completed round stays complete
-            self._requeue(handle)
-            return False, msg
-        self.delivered_count += 1
-        if self.record_events:
-            self._log("DELIVER", msg.round_key, msg.sender, msg.receiver, msg.entry)
-        seen = rec.seen[pos]
-        if seen[seq]:
-            raise InvariantError(
-                f"duplicate delivery of message {seq} from {msg.sender} to {msg.receiver} "
-                f"in round {msg.round_key}"
-            )
-        seen[seq] = 1
-        rk = rec.left_keys[pos]
-        left = self._left[rk] - 1
-        self._left[rk] = left
-        if not left:
-            self.rounds_completed += 1
-            self._release(rk)
-        return True, msg
+        getrandbits = self._rng.getrandbits
+        coin = self._rng.random
+        drop = self._drop
+        record = self.record_events
+        random_order = self._random_order
+        broadcasts = self._broadcasts
+        ready = self._ready
+        rotation = self._rotation
+        left = self._left
+        time = self._time
+        delivered = dropped = 0
+        try:
+            while True:
+                if random_order:
+                    n = len(ready)
+                    if not n:
+                        break
+                    # randrange(n) as CPython 3.11 computes it, without its call layers
+                    k = n.bit_length()
+                    idx = getrandbits(k)
+                    while idx >= n:
+                        idx = getrandbits(k)
+                    handle = ready[idx]
+                    ready[idx] = ready[-1]
+                    ready.pop()
+                    rec = broadcasts[handle >> COPY_BITS]
+                    seq, pos = divmod(handle & COPY_MASK, len(rec.receivers))
+                else:
+                    if not rotation:
+                        break
+                    q = rotation.popleft()
+                    seq = q.next
+                    if seq != q.stop:
+                        q.next = seq + 1
+                    else:
+                        seq = q.retries.popleft()
+                    if q.next != q.stop or q.retries:
+                        rotation.append(q)
+                    rec = q.rec
+                    pos = q.pos
+                time += 1
+                if drop and coin() < drop:
+                    dropped += 1
+                    if record:
+                        self._time = time
+                        entry = rec.entries[seq]
+                        self._log("DROP", rec.round_key, rec.sender, rec.receivers[pos], entry)
+                        self._log("ENQ", rec.round_key, rec.sender, rec.receivers[pos], entry)
+                    # the dropped copy was deliverable, so its receiver had
+                    # completed any prerequisite round, which stays complete
+                    if random_order:
+                        ready.append(handle)
+                    else:
+                        if q.next == q.stop and not q.retries:
+                            rotation.append(q)
+                        if q.retries is None:
+                            q.retries = deque()
+                        q.retries.append(seq)
+                    continue
+                delivered += 1
+                seen = rec.seen[pos]
+                if seen[seq]:
+                    raise InvariantError(
+                        f"duplicate delivery of message {seq} from {rec.sender} to "
+                        f"{rec.receivers[pos]} in round {rec.round_key}"
+                    )
+                seen[seq] = 1
+                entry = rec.entries[seq]
+                rk = rec.left_keys[pos]
+                if record:
+                    self._time = time
+                    self._log("DELIVER", rec.round_key, rec.sender, rk[0], entry)
+                handlers[rk](rec.sender, entry)
+                remaining = left[rk] - 1
+                left[rk] = remaining
+                if not remaining:
+                    self._complete(rk)
+                    return rk[0]
+        finally:
+            self._time = time
+            self.delivered_count += delivered
+            self.dropped_count += dropped
+            self.enqueued_count += dropped
+        if any(self._blocked.values()):
+            raise InvariantError("transport stalled on blocked messages")
+        return None
 
     def round_complete(self, receiver, round_key) -> bool:
         return self._left.get((receiver, round_key), self._peers) == 0

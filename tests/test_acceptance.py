@@ -174,12 +174,12 @@ def test_criterion_3_two_switch_golden_outcome():
         cfg, s1, s2 = _golden_pair(order, drop, net_seed=9)
         for sw in (s1, s2):
             # both switches aggregate flow 1 to the full network-wide 2300
-            ok &= sw.sum.read_count(0, hash_index(cfg, 0, 1)) == 2300
+            ok &= sw.sum.counts[0][hash_index(cfg, 0, 1)] == 2300
             # flow 4 (600) evicted flow 2 (500) from their shared slot
-            ok &= sw.g_topk.read_id(0, 1) == 4 and sw.g_topk.read_count(0, 1) == 600
+            ok &= sw.g_topk.ids[0][1] == 4 and sw.g_topk.counts[0][1] == 600
             # flow 3 (100) failed to displace flow 5 (400)
-            ok &= sw.g_topk.read_id(0, 0) == 5 and sw.g_topk.read_count(0, 0) == 400
-            ok &= sw.g_topk.read_id(0, 3) == 1 and sw.g_topk.read_count(0, 3) == 2300
+            ok &= sw.g_topk.ids[0][0] == 5 and sw.g_topk.counts[0][0] == 400
+            ok &= sw.g_topk.ids[0][3] == 1 and sw.g_topk.counts[0][3] == 2300
             ok &= sw.query_flow(2) is None and sw.query_flow(3) is None
         ok &= s1.g_topk.equals(s2.g_topk)
         notes.append(f"{order.value}/drop={drop}")

@@ -29,8 +29,9 @@ def test_random_pick_draws_the_randrange_sequence():
     net = Network(NetworkConfig(n=2, delivery_order=DeliveryOrder.RANDOM, seed=seed))
     net.broadcast(0, "r", [FlowEntry(seq + 1, 1) for seq in range(count)])
     picks = []
-    while (ev := net.step()) is not None:
-        picks.append(ev[1].seq)
+    handlers = {(1, "r"): lambda sender, entry: picks.append(entry.id - 1)}
+    while net.step(handlers) is not None:
+        pass
     rng = random.Random(seed)
     ready = list(range(count))
     expected = []
@@ -50,13 +51,22 @@ def test_round_completion_is_decided_once(monkeypatch, empty_switch):
     if empty_switch:
         switches[2] = SwitchState(2, CFG, rng_seed=9)
     calls = []
+    completions = []
     original = Network.round_complete
+    original_step = Network.step
 
     def counted(self, receiver, round_key):
         calls.append((receiver, round_key))
         return original(self, receiver, round_key)
 
+    def counted_step(self, handlers):
+        receiver = original_step(self, handlers)
+        if receiver is not None:
+            completions.append(receiver)
+        return receiver
+
     monkeypatch.setattr(Network, "round_complete", counted)
+    monkeypatch.setattr(Network, "step", counted_step)
     net = Network(NetworkConfig(n=n, drop_probability=0.2, delivery_order=DeliveryOrder.RANDOM,
                                 seed=5))
     run_cycle(switches, net)
@@ -65,12 +75,12 @@ def test_round_completion_is_decided_once(monkeypatch, empty_switch):
     # each switch has two rounds; without empty broadcasts a delivery
     # completes each of them, and with one some may complete as the empty
     # broadcast registers, found by a re-check instead
-    assert net.rounds_completed <= 2 * n
-    assert empty_switch or net.rounds_completed == 2 * n
+    assert len(completions) <= 2 * n
+    assert empty_switch or len(completions) == 2 * n
     # checks: every switch once after the AGG broadcasts, the receiver of
     # each completing delivery, each switch again as it ends aggregation,
     # and its peers when its own CONS broadcast is empty
-    assert len(calls) <= 2 * n + net.rounds_completed + (n - 1) * empty_cons
+    assert len(calls) <= 2 * n + len(completions) + (n - 1) * empty_cons
     assert net.dropped_count > 0
     assert net.delivered_count > 20 * len(calls)
 

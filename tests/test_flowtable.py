@@ -3,6 +3,7 @@
 import pytest
 
 from nettopk.flowtable import (
+    EMPTY_COUNT,
     EMPTY_ID,
     AccessLog,
     Field,
@@ -13,6 +14,7 @@ from nettopk.flowtable import (
     PipelineOrderError,
     TableConfig,
     hash_index,
+    logged_rows,
     memory_bytes,
     mix32,
     snapshot_copy,
@@ -97,7 +99,7 @@ def test_snapshot_copy_isolated():
     c = snapshot_copy(t)
     c.set_entry(0, 1, FlowEntry(4, 40))
     c.set_entry(1, 2, FlowEntry(5, 50))
-    assert t.read_id(0, 1) == 3
+    assert t.ids[0][1] == 3
     assert t.occupancy() == 1
     assert c.field_order is FieldOrder.ID_FIRST
 
@@ -190,13 +192,16 @@ def test_access_log_same_stage_repeats_allowed():
     log.verify(FieldOrder.COUNT_FIRST)
 
 
-def test_table_accessors_record_to_log():
+def test_logged_rows_record_to_log():
     t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    assert logged_rows(t) == (t.ids, t.counts)
     log = AccessLog()
-    t.read_id(0, 0, log)
-    t.write_count(0, 0, 7, log)
-    t.read_count(1, 0, log)
-    t.write_id(1, 0, 3, log)
+    ids, counts = logged_rows(t, log)
+    assert ids[0][0] == EMPTY_ID
+    counts[0][0] = 7
+    assert counts[1][0] == EMPTY_COUNT
+    ids[1][0] = 3
+    assert (t.counts[0][0], t.ids[1][0]) == (7, 3)
     assert log.records == [
         (0, Field.ID, Mode.READ),
         (0, Field.COUNT, Mode.WRITE),

@@ -109,9 +109,9 @@ def test_replacement_targets_earliest_minimum(monkeypatch):
     st.table.set_entry(1, slots[1], FlowEntry(222, 6))
     monkeypatch.setattr(precision, "splitmix64", lambda s: (s, 0))  # always accept
     process_packet(st, fid)
-    assert st.table.read_id(0, slots[0]) == fid
-    assert st.table.read_count(0, slots[0]) == 7
-    assert st.table.read_id(1, slots[1]) == 222  # later tie untouched
+    assert st.table.ids[0][slots[0]] == fid
+    assert st.table.counts[0][slots[0]] == 7
+    assert st.table.ids[1][slots[1]] == 222  # later tie untouched
 
 
 def test_replacement_prefers_smaller_count():
@@ -121,9 +121,9 @@ def test_replacement_prefers_smaller_count():
     st.table.set_entry(0, slots[0], FlowEntry(111, 50))
     # vector 1 slot left empty: MinCount 0, certain insert there
     process_packet(st, fid)
-    assert st.table.read_id(0, slots[0]) == 111
-    assert st.table.read_id(1, slots[1]) == fid
-    assert st.table.read_count(1, slots[1]) == 1
+    assert st.table.ids[0][slots[0]] == 111
+    assert st.table.ids[1][slots[1]] == fid
+    assert st.table.counts[1][slots[1]] == 1
 
 
 def test_replacement_rate_near_one_over_min_count_plus_one():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingested_switches, sorted_entries, table_to_arrays
-from nettopk import cluster
+from nettopk import cluster, transport
 from nettopk._kernels import check_invariants_arrays, run_cycle_arrays
 from nettopk.cluster import partition, run_clustered
 from nettopk.flowtable import (
@@ -55,10 +55,10 @@ def test_walk_larger_count_evicts_and_carries():
     j0 = hash_index(CFG, 0, 9)
     g.set_entry(0, j0, FlowEntry(5, 100))  # occupant in the walker's slot
     consolidate_into(g, 9, 300)
-    assert g.read_id(0, j0) == 9 and g.read_count(0, j0) == 300
+    assert g.ids[0][j0] == 9 and g.counts[0][j0] == 300
     # the evicted (5, 100) carried on into vector 1
     j1 = hash_index(CFG, 1, 5)
-    assert g.read_id(1, j1) == 5 and g.read_count(1, j1) == 100
+    assert g.ids[1][j1] == 5 and g.counts[1][j1] == 100
 
 
 def test_walk_evicting_empty_slot_terminates():
@@ -66,7 +66,7 @@ def test_walk_evicting_empty_slot_terminates():
     consolidate_into(g, 9, 300)
     assert g.occupancy() == 1  # nothing carried into vector 1
     j1 = hash_index(CFG, 1, 9)
-    assert g.read_id(1, j1) == 0
+    assert g.ids[1][j1] == 0
 
 
 def test_walk_equal_pair_terminates_without_writes():
@@ -87,10 +87,10 @@ def test_walk_equal_count_larger_id_swaps_and_carries_smaller():
     j = hash_index(CFG, 0, fid_big)
     g.set_entry(0, j, FlowEntry(fid_small, 300))  # same slot, same count, smaller id
     consolidate_into(g, fid_big, 300)
-    assert g.read_id(0, j) == fid_big and g.read_count(0, j) == 300
+    assert g.ids[0][j] == fid_big and g.counts[0][j] == 300
     # the smaller id carried on and settled in vector 1
     j1 = hash_index(CFG, 1, fid_small)
-    assert g.read_id(1, j1) == fid_small and g.read_count(1, j1) == 300
+    assert g.ids[1][j1] == fid_small and g.counts[1][j1] == 300
 
 
 def test_walk_equal_count_smaller_id_passes_through():
@@ -99,9 +99,9 @@ def test_walk_equal_count_smaller_id_passes_through():
     j = hash_index(CFG, 0, fid_small)
     g.set_entry(0, j, FlowEntry(fid_big, 300))
     consolidate_into(g, fid_small, 300)
-    assert g.read_id(0, j) == fid_big  # untouched
+    assert g.ids[0][j] == fid_big  # untouched
     j1 = hash_index(CFG, 1, fid_small)
-    assert g.read_id(1, j1) == fid_small and g.read_count(1, j1) == 300
+    assert g.ids[1][j1] == fid_small and g.counts[1][j1] == 300
 
 
 def test_walk_smaller_count_continues_untouched():
@@ -110,9 +110,9 @@ def test_walk_smaller_count_continues_untouched():
     j = hash_index(CFG, 0, fid_in)
     g.set_entry(0, j, FlowEntry(fid_res, 400))
     consolidate_into(g, fid_in, 100)
-    assert g.read_id(0, j) == fid_res and g.read_count(0, j) == 400
+    assert g.ids[0][j] == fid_res and g.counts[0][j] == 400
     j1 = hash_index(CFG, 1, fid_in)
-    assert g.read_id(1, j1) == fid_in and g.read_count(1, j1) == 100
+    assert g.ids[1][j1] == fid_in and g.counts[1][j1] == 100
 
 
 def test_walk_discards_pair_past_last_vector():
@@ -209,8 +209,8 @@ def test_aggregation_adds_on_matching_id():
     sw.begin_cycle()
     sw.handle_aggregation_packet(1, FlowEntry(1, 1300))
     j = hash_index(CFG, 0, 1)
-    assert sw.sum.read_count(0, j) == 2300
-    assert sw.snapshot.read_count(0, j) == 1000  # snapshot untouched
+    assert sw.sum.counts[0][j] == 2300
+    assert sw.snapshot.counts[0][j] == 1000  # snapshot untouched
 
 
 def test_aggregation_disregards_unknown_id():
@@ -230,8 +230,8 @@ def test_aggregation_first_matching_vector_wins():
         sw.snapshot.set_entry(i, j, FlowEntry(fid, 10))
         sw.sum.set_entry(i, j, FlowEntry(fid, 10))
     sw.handle_aggregation_packet(1, FlowEntry(fid, 5))
-    assert sw.sum.read_count(0, hash_index(CFG, 0, fid)) == 15
-    assert sw.sum.read_count(1, hash_index(CFG, 1, fid)) == 10
+    assert sw.sum.counts[0][hash_index(CFG, 0, fid)] == 15
+    assert sw.sum.counts[1][hash_index(CFG, 1, fid)] == 10
 
 
 def test_aggregation_rejects_own_packet():
@@ -335,6 +335,43 @@ def test_lossy_cycle_copies_carry_the_frozen_tables():
     assert dropped_rounds == {f"{Round.AGG}", f"{Round.CONS}"}
 
 
+@pytest.mark.parametrize("order", list(DeliveryOrder))
+def test_finished_rounds_drop_their_entries(order):
+    # every switch has completed aggregation by the last CONS broadcast, so
+    # no AGG copy is left to send and the AGG records hold no entries
+    n = 4
+    switches = ingested_switches(n, CFG, stream_seed=8)
+    net = Network(NetworkConfig(n=n, drop_probability=0.3, delivery_order=order, seed=2))
+    broadcast = net.broadcast
+    agg_entries_at_cons = []
+
+    def checked_broadcast(sender, round_key, entries, requires=None):
+        broadcast(sender, round_key, entries, requires)
+        if round_key is Round.CONS:
+            agg_entries_at_cons.append(
+                sum(len(rec.entries) for rec in net._broadcasts if rec.round_key is Round.AGG)
+            )
+
+    net.broadcast = checked_broadcast
+    stats = run_cycle(switches, net)
+    assert stats.dropped > 0
+    assert len(agg_entries_at_cons) == n
+    assert agg_entries_at_cons[0] > 0 and agg_entries_at_cons[-1] == 0
+    assert all(not rec.entries for rec in net._broadcasts)
+    net.audit_exactly_once()
+    # a duplicate of a finished record's copy is caught before its entry
+    # is read, and the audit counts it
+    if order is DeliveryOrder.RANDOM:
+        net._ready.append(0)  # broadcast 0's seq 0 to its first receiver
+    else:
+        net._rotation.append(transport._PairQueue(net._broadcasts[0], 0, 0, 1))
+    with pytest.raises(InvariantError, match="duplicate delivery of message 0 from 0"):
+        net.step({})
+    with pytest.raises(InvariantError, match=f"{stats.delivered + 1} deliveries for "
+                                             f"{stats.delivered} registered messages"):
+        net.audit_exactly_once()
+
+
 @settings(max_examples=25, deadline=None)
 @given(stream_seed=st.integers(0, 2**16))
 def test_replaying_a_consolidated_table_reproduces_it(stream_seed):
@@ -354,9 +391,10 @@ def test_replaying_a_consolidated_table_reproduces_it(stream_seed):
 def with_bounded_completion_checks(net, sws):
     """Make net fail if a step is followed by more round checks than it needs.
 
-    After a delivery only its receiver is checked, and once more if it ends
-    aggregation; when its Sum is empty, it also re-checks its n - 1 peers.
-    A scan of every switch after every delivery would exceed the bound.
+    A step returns the receiver whose round its last delivery completed.
+    Only that receiver is checked, and once more if it ends aggregation;
+    when its Sum is empty, it also re-checks its n - 1 peers. A scan of
+    every switch after every return would exceed the bound.
     """
     step, round_complete = net.step, net.round_complete
     last, calls = None, 0  # the previous step's result, round checks since
@@ -366,13 +404,13 @@ def with_bounded_completion_checks(net, sws):
         calls += 1
         return round_complete(receiver, round_key)
 
-    def bounded_step():
+    def bounded_step(handlers):
         nonlocal last, calls
         if last is not None:
-            receiver = sws[last[1].receiver]
+            receiver = sws[last]
             bound = 2 + (net.config.n - 1) * (receiver.sum.occupancy() == 0)
             assert calls <= bound, f"{calls} round checks after one step"
-        last, calls = step(), 0
+        last, calls = step(handlers), 0
         return last
 
     net.step = bounded_step
@@ -461,14 +499,14 @@ def test_check_sum_agreement_detects_disagreement():
     i, j = next(
         (i, j) for i in range(CFG.d) for j in range(CFG.s) if switches[0].sum.ids[i][j]
     )
-    count = switches[0].sum.read_count(i, j)
-    switches[0].sum.write_count(i, j, count + 1)
+    count = switches[0].sum.counts[i][j]
+    switches[0].sum.counts[i][j] = count + 1
     with pytest.raises(InvariantError, match="sum disagreement"):
         check_sum_agreement(switches)
     # a Sum slot whose id differs from its Snapshot slot's, count intact
-    switches[0].sum.write_count(i, j, count)
+    switches[0].sum.counts[i][j] = count
     check_sum_agreement(switches)
-    switches[0].sum.write_id(i, j, switches[0].sum.read_id(i, j) + 1)
+    switches[0].sum.ids[i][j] += 1
     with pytest.raises(InvariantError, match=f"sum slot \\({i}, {j}\\) on switch 0"):
         check_sum_agreement(switches)
 
@@ -497,7 +535,7 @@ def test_check_identical_tables_detects_divergence():
     i, j = next(
         (i, j) for i in range(CFG.d) for j in range(CFG.s) if switches[1].g_topk.ids[i][j]
     )
-    switches[1].g_topk.write_count(i, j, switches[1].g_topk.read_count(i, j) + 1)
+    switches[1].g_topk.counts[i][j] += 1
     with pytest.raises(InvariantError):
         check_identical_tables(switches, "g_topk")
 

@@ -5,7 +5,9 @@ Network, or through run_clustered with every phase's Network recording,
 and hashes the event log (every enqueue, drop and delivery in order), the
 delivered and dropped counts, and the resulting query tables. A refactor
 of the driver or the transport that keeps these digests keeps the exact
-delivery and drop schedule, not only the final tables.
+delivery and drop schedule, not only the final tables. The same runs
+without recording must deliver and drop as many copies and end with the
+same tables, so the digests stand for the path that records nothing too.
 
 Populations cover n in {1, 2, 5, 8}: all switches with traffic, one
 switch with an empty local table, and every switch empty.
@@ -62,9 +64,13 @@ def population(n, empty, seed):
     return switches
 
 
+def tables(switches):
+    return [(sw.query.ids, sw.query.counts) for sw in switches]
+
+
 def feed_tables(h, switches):
-    for sw in switches:
-        h.update(repr((sw.query.ids, sw.query.counts)).encode())
+    for query in tables(switches):
+        h.update(repr(query).encode())
 
 
 def feed_events(h, net):
@@ -72,48 +78,76 @@ def feed_events(h, net):
     h.update(f"|{net.delivered_count},{net.dropped_count}|".encode())
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_cycle_schedule_is_golden(case):
+def cycle_runs(case, record):
+    """Each flat population's (switches, network, stats) after its cycle."""
     order, drop = CASES[case]
-    h = hashlib.sha256()
     for n in SIZES:
         for k, empty in enumerate(EMPTY):
             switches = population(n, empty, seed=10 * n + k)
             net = Network(
                 NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=n + k),
-                record_events=True,
+                record_events=record,
             )
             stats = run_cycle(switches, net)
             net.audit_exactly_once()
-            feed_events(h, net)
-            h.update(f"|{stats.delivered},{stats.dropped}|".encode())
-            feed_tables(h, switches)
+            yield switches, [net], stats
+
+
+def clustered_runs(case, record):
+    """Each clustered population's (switches, phase networks, stats) after its run."""
+    order, drop = CASES[case]
+
+    def phase_network(config, participants=()):
+        net = Network(config, participants=participants, record_events=record)
+        networks.append(net)
+        return net
+
+    for n, c in CLUSTERED:
+        for k, empty in enumerate(EMPTY):
+            switches = population(n, empty, seed=10 * n + k + 5)
+            networks = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cluster, "Network", phase_network)
+                stats = run_clustered(
+                    switches, partition(n, c, seed=n + k),
+                    NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=3 * n + k),
+                )
+            yield switches, networks, stats
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cycle_schedule_is_golden(case):
+    h = hashlib.sha256()
+    for switches, (net,), stats in cycle_runs(case, record=True):
+        feed_events(h, net)
+        h.update(f"|{stats.delivered},{stats.dropped}|".encode())
+        feed_tables(h, switches)
     assert h.hexdigest() == CYCLE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_clustered_schedule_is_golden(case, monkeypatch):
-    order, drop = CASES[case]
-    networks = []
-
-    def recording_network(config, participants=()):
-        net = Network(config, participants=participants, record_events=True)
-        networks.append(net)
-        return net
-
-    monkeypatch.setattr(cluster, "Network", recording_network)
+def test_clustered_schedule_is_golden(case):
     h = hashlib.sha256()
-    for n, c in CLUSTERED:
-        for k, empty in enumerate(EMPTY):
-            switches = population(n, empty, seed=10 * n + k + 5)
-            networks.clear()
-            stats = run_clustered(
-                switches, partition(n, c, seed=n + k),
-                NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=3 * n + k),
-            )
-            for net in networks:
-                feed_events(h, net)
-            for phase in (stats.phase1, stats.phase2, stats.phase3):
-                h.update(f"|{phase.delivered},{phase.dropped}|".encode())
-            feed_tables(h, switches)
+    for switches, networks, stats in clustered_runs(case, record=True):
+        for net in networks:
+            feed_events(h, net)
+        for phase in (stats.phase1, stats.phase2, stats.phase3):
+            h.update(f"|{phase.delivered},{phase.dropped}|".encode())
+        feed_tables(h, switches)
     assert h.hexdigest() == CLUSTERED_DIGESTS[case]
+
+
+@pytest.mark.parametrize("runs", [cycle_runs, clustered_runs])
+@pytest.mark.parametrize("case", CASES)
+def test_unrecorded_runs_match_the_golden_ones(case, runs):
+    # the digests cover only runs that record events; a run that does not
+    # must deliver and drop as many copies and end with the same tables
+    pairs = zip(runs(case, record=True), runs(case, record=False), strict=True)
+    for (switches, networks, stats), (quiet_switches, quiet_networks, quiet_stats) in pairs:
+        assert all(net.events for net in networks if net.enqueued_count)
+        assert not any(net.events for net in quiet_networks)
+        assert [(net.delivered_count, net.dropped_count) for net in quiet_networks] == [
+            (net.delivered_count, net.dropped_count) for net in networks
+        ]
+        assert quiet_stats == stats
+        assert tables(quiet_switches) == tables(switches)

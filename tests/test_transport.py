@@ -1,6 +1,8 @@
 """Exactly-once broadcast: loss, retransmission, ordering, round gating."""
 
 import tracemalloc
+from collections import deque
+from typing import NamedTuple
 
 import pytest
 
@@ -14,14 +16,39 @@ def make_net(n, drop=0.0, order=DeliveryOrder.FIFO_PER_PAIR, seed=0, record=Fals
                                  seed=seed), record_events=record)
 
 
+class Delivery(NamedTuple):
+    receiver: int
+    round_key: object
+    sender: int
+    entry: FlowEntry
+
+
+class Deliveries(dict):
+    """Handlers for every (receiver, round) key; each appends its deliveries to log."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __missing__(self, key):
+        return lambda sender, entry: self.log.append(Delivery(*key, sender, entry))
+
+
 def drain(net):
-    """Step until idle; returns the (delivered, message) pairs in order."""
-    events = []
-    while True:
-        ev = net.step()
-        if ev is None:
-            return events
-        events.append(ev)
+    """Step until idle; returns the deliveries in order."""
+    handlers = Deliveries()
+    while net.step(handlers) is not None:
+        pass
+    return handlers.log
+
+
+class Stop(Exception):
+    pass
+
+
+def stop(sender, entry):
+    """A handler that ends its step after the first delivery."""
+    raise Stop
 
 
 def test_config_validation():
@@ -40,7 +67,8 @@ def test_lossless_exactly_once():
         net.broadcast(sender, "r", payload)
     events = drain(net)
     assert len(events) == 3 * 2 * 4
-    assert all(delivered for delivered, _ in events)
+    assert sorted(events) == sorted(Delivery(r, "r", sender, entry) for sender in range(3)
+                                    for r in range(3) if r != sender for entry in payload)
     net.audit_exactly_once()
     assert net.delivered_count == 24
     assert net.dropped_count == 0
@@ -48,17 +76,19 @@ def test_lossless_exactly_once():
 
 
 def test_drops_are_retransmitted_until_delivered():
-    net = make_net(2, drop=0.5, seed=11)
+    net = make_net(2, drop=0.5, seed=11, record=True)
     payload = [FlowEntry(i + 1, i + 1) for i in range(16)]
     net.broadcast(0, "r", payload)
     events = drain(net)
-    drops = [msg for delivered, msg in events if not delivered]
+    copies = [line.split(",") for line in net.events if line.split(",")[1] in ("DROP", "DELIVER")]
+    drops = [fields for fields in copies if fields[1] == "DROP"]
     assert drops  # at p=0.5 over 16 messages this seed drops plenty
+    assert net.dropped_count == len(drops)
     net.audit_exactly_once()
     # each seq is delivered once, and every copy of it, dropped or
-    # delivered, carries the entry registered for it
-    assert sorted(msg.seq for delivered, msg in events if delivered) == list(range(16))
-    assert all(msg.entry == payload[msg.seq] for _, msg in events)
+    # delivered, carries the entry registered for it; entry seq has id seq + 1
+    assert sorted(d.entry for d in events) == payload
+    assert all(payload[int(fid) - 1] == (int(fid), int(count)) for *_, fid, count in copies)
 
 
 def test_round_completion_needs_every_peer():
@@ -89,14 +119,13 @@ def test_dependent_round_held_until_prerequisite_completes():
     net.broadcast(0, "a", first)
     net.broadcast(0, "b", second, requires="a")
     # receiver 1's round "a" is incomplete until both entries arrive
-    first_kinds = []
-    while not net.round_complete(1, "a"):
-        ev = net.step()
-        assert ev is not None
-        first_kinds.append(ev[1].round_key)
-    assert set(first_kinds) == {"a"}  # nothing from "b" slipped through
-    rest = drain(net)
-    assert [msg.round_key for _, msg in rest] == ["b"]
+    handlers = Deliveries()
+    assert net.step(handlers) == 1
+    assert net.round_complete(1, "a")
+    assert [d.round_key for d in handlers.log] == ["a", "a"]  # nothing from "b" slipped through
+    assert net.step(handlers) == 1
+    assert net.step(handlers) is None
+    assert [d.round_key for d in handlers.log[2:]] == ["b"]
     net.audit_exactly_once()
 
 
@@ -107,7 +136,32 @@ def test_prerequisite_already_met_delivers_immediately():
     assert net.round_complete(1, "a")
     net.broadcast(0, "b", [FlowEntry(2, 2)], requires="a")
     events = drain(net)
-    assert [msg.round_key for _, msg in events] == ["b"]
+    assert [d.round_key for d in events] == ["b"]
+
+
+def test_round_completed_by_registration_releases_held_copies():
+    net = make_net(3)
+    net.broadcast(0, "b", [FlowEntry(3, 3)], requires="a")  # held: no receiver has completed "a"
+    # each empty broadcast completes "a" somewhere as it registers: sender
+    # 1's at receiver 2, sender 2's at receivers 0 and 1, and the held
+    # copies are released in that order
+    for sender in range(3):
+        net.broadcast(sender, "a", [])
+    assert [(d.receiver, d.round_key) for d in drain(net)] == [(2, "b"), (1, "b")]
+    net.audit_exactly_once()
+
+
+def test_entries_dropped_once_every_participant_completes_the_round():
+    net = make_net(3)
+    net.broadcast(0, "r", [FlowEntry(1, 1)])
+    net.broadcast(1, "r", [FlowEntry(2, 2)])
+    drain(net)
+    # receiver 2 has completed "r"; 0 and 1 wait on 2's broadcast
+    assert [rec.entries for rec in net._broadcasts] == [(FlowEntry(1, 1),), (FlowEntry(2, 2),)]
+    net.broadcast(2, "r", [])  # completes "r" at 0 and 1 as it registers
+    assert all(net.round_complete(r, "r") for r in range(3))
+    assert not any(rec.entries for rec in net._broadcasts)
+    net.audit_exactly_once()
 
 
 def test_permanently_blocked_messages_are_a_stall():
@@ -126,8 +180,8 @@ def test_fifo_per_pair_preserves_sequence_order():
         net.broadcast(sender, "r", payload)
     events = drain(net)
     per_pair = {}
-    for _, msg in events:
-        per_pair.setdefault((msg.sender, msg.receiver), []).append(msg.seq)
+    for d in events:
+        per_pair.setdefault((d.sender, d.receiver), []).append(d.entry.id - 1)
     for seqs in per_pair.values():
         assert seqs == sorted(seqs)
 
@@ -138,7 +192,7 @@ def test_random_order_is_seed_deterministic():
         payload = [FlowEntry(i + 1, i + 1) for i in range(8)]
         for sender in range(3):
             net.broadcast(sender, "r", payload)
-        return [(msg.sender, msg.receiver, msg.seq) for _, msg in drain(net)]
+        return [(d.sender, d.receiver, d.entry.id - 1) for d in drain(net)]
 
     a = run(7)
     b = run(7)
@@ -168,23 +222,26 @@ def test_non_participant_sender_rejected():
 def test_audit_flags_incomplete_round():
     net = make_net(2)
     net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)])
-    net.step()  # deliver only one of two
+    with pytest.raises(Stop):
+        net.step({(1, "r"): stop})  # deliver only one of two
     with pytest.raises(AssertionError, match="message 1 from 0 to 1 lost"):
         net.audit_exactly_once()
 
 
 def test_duplicate_delivery_rejected():
     net = make_net(2)
-    net.broadcast(0, "r", [FlowEntry(1, 1), FlowEntry(2, 2)])
-    delivered, msg = net.step()
-    assert delivered and msg.seq == 0
-    # a second copy of the delivered message, queued behind seq 1: broadcast
-    # 0's seq 0 to its only receiver has handle 0
-    net._requeue(0)
-    assert net.step()[1].seq == 1
+    payload = [FlowEntry(1, 1), FlowEntry(2, 2)]
+    net.broadcast(0, "r", payload)
+    # a second copy of seq 0, queued behind seq 1 as a retransmission in
+    # the one pair queue
+    (queue,) = net._rotation
+    queue.retries = deque([0])
+    handlers = Deliveries()
+    assert net.step(handlers) == 1
+    assert [d.entry for d in handlers.log] == payload
     with pytest.raises(InvariantError, match="duplicate delivery of message 0 from 0 to 1"):
-        net.step()
-    assert net.step() is None
+        net.step(handlers)
+    assert net.step(handlers) is None
     # every byte is set, but one delivery too many was counted
     with pytest.raises(InvariantError, match="3 deliveries for 2 registered messages"):
         net.audit_exactly_once()
@@ -196,7 +253,7 @@ def test_ledger_memory_after_drain():
     try:
         net = make_net(2, drop=0.2, seed=1)
         net.broadcast(0, "r", payload)
-        while net.step() is not None:
+        while net.step({(1, "r"): lambda sender, entry: None}) is not None:
             pass
         net.audit_exactly_once()
         held, _ = tracemalloc.get_traced_memory()
