@@ -21,7 +21,6 @@ from .flowtable import (
     hash_index,
     memory_bytes,
     snapshot_copy,
-    table_entries,
 )
 from .precision import LocalTopKState, local_estimate, process_packet
 from .protocol import Round, RoundPhase, SwitchState, run_cycle
@@ -59,6 +58,5 @@ __all__ = [
     "run_experiment",
     "snapshot_copy",
     "split_stream",
-    "table_entries",
     "write_trace",
 ]

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("k must be in [1, d*s]")
         if (self.zipf_a is None) == (self.trace_path is None):
             raise ValueError("exactly one of zipf_a or trace_path must be set")
+        if self.trace_path is not None and (self.num_packets or self.num_flows):
+            raise ValueError("--packets and --flows size a --zipf synthesis only, not a --trace run")
         if self.zipf_a is not None and (self.num_packets < 1 or self.num_flows < 1):
             raise ValueError("zipf traces need num_packets and num_flows")
         if self.num_flows > MAX_FLOWS:

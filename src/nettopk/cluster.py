@@ -102,11 +102,10 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
         check_cycle_invariants([sws[m] for m in members])
 
     # phase 2: each representative's merged table becomes its local table
-    cluster_tables = {rep: snapshot_copy(sws[rep].g_topk) for rep in plan.representatives}
     reps = sorted(plan.representatives)
     net2 = make_net(reps, 2000)
     for rep in reps:
-        sws[rep].begin_cycle(source=cluster_tables[rep])
+        sws[rep].begin_cycle(source=sws[rep].g_topk)
     p2 = run_rounds([sws[r] for r in reps], net2)
     net2.audit_exactly_once()
     check_cycle_invariants([sws[r] for r in reps])

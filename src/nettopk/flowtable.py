@@ -357,11 +357,6 @@ def snapshot_copy(src: MultiVectorTable, field_order: FieldOrder | None = None) 
     return out
 
 
-def table_entries(t: MultiVectorTable) -> list[FlowEntry]:
-    """All non-empty entries of t in deterministic vector-major order."""
-    return list(t.entries())
-
-
 def memory_bytes(config: TableConfig, id_bytes: int, count_bytes: int) -> int:
     """Exact size of one table at the given per-field widths."""
     return config.d * config.s * (id_bytes + count_bytes)

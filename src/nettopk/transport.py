@@ -8,9 +8,10 @@ static source slot would return. Registration gives each (receiver,
 sender, round) one byte per message, set on delivery; a delivery whose
 byte is already set is a duplicate, and a byte still unset at audit time
 is a loss. A countdown per (receiver, round) of peers yet to register plus
-messages yet to arrive reaches 0 exactly when the round is complete. Once
-every participant has completed a round, no copy of it is left to send,
-and its records drop their entries.
+messages yet to arrive reaches 0 exactly when the round is complete. A
+count per broadcast of its undelivered copies reaches 0 at its last
+delivery, when no copy of it is left to send, and the broadcast drops its
+entries.
 
 A broadcast registers one record: sender, round, receivers, its entries as
 a tuple, and each receiver's ledger and countdown key. The whole broadcast
@@ -95,8 +96,9 @@ class _PairQueue:
 @dataclass(slots=True)
 class _Broadcast:
     """One registered (sender, round) broadcast; per receiver position, its
-    ledger and its countdown key. entries is emptied once every participant
-    has completed the round, when no copy of it is left to send."""
+    ledger and its countdown key. undelivered counts its copies yet to be
+    delivered, and entries is emptied when it reaches 0, when no copy of it
+    is left to send."""
 
     sender: int
     round_key: object
@@ -104,6 +106,7 @@ class _Broadcast:
     entries: tuple
     seen: list
     left_keys: list
+    undelivered: int
 
 
 class Network:
@@ -128,8 +131,6 @@ class Network:
         # per (receiver, round): peers yet to register plus messages yet to
         # arrive; neither term goes negative, so 0 means the round is complete
         self._left: dict[tuple, int] = {}
-        # per round: receivers that have completed it
-        self._completed: dict[object, int] = {}
         self._requires: dict[object, object] = {}
         self._time = 0
         # deliverable copies: the RANDOM pool of handles, or the FIFO pair
@@ -160,19 +161,11 @@ class Network:
         self._rotation.extend(_PairQueue(rec, pos, 0, count) for pos in positions)
 
     def _complete(self, receiver_round) -> None:
-        """Receiver completed the round: release the copies waiting on it and,
-        once every participant has completed the round, drop its entries."""
+        """Receiver completed the round: release the copies waiting on it."""
         waiting = self._blocked.pop(receiver_round, None)
         if waiting:
             for index, pos in waiting:
                 self._open(index, (pos,))
-        round_key = receiver_round[1]
-        done = self._completed.get(round_key, 0) + 1
-        self._completed[round_key] = done
-        if done == len(self.participants):
-            for rec in self._broadcasts:
-                if rec.round_key == round_key:
-                    rec.entries = ()
 
     def broadcast(self, sender, round_key, entries, requires=None) -> None:
         """Register and enqueue one round's entries from sender to every other participant.
@@ -190,7 +183,8 @@ class Network:
         index = len(self._broadcasts)
         receivers = tuple(p for p in self.participants if p != sender)
         count = len(entries)
-        if index >= MAX_BROADCASTS or count * len(receivers) > COPY_MASK + 1:
+        copies = count * len(receivers)
+        if index >= MAX_BROADCASTS or copies > COPY_MASK + 1:
             raise InvariantError(
                 f"broadcast {index} of {count} entries to {len(receivers)} receivers "
                 f"does not fit the {MAX_BROADCASTS}-broadcast handle layout"
@@ -203,10 +197,10 @@ class Network:
         left_keys = [(receiver, round_key) for receiver in receivers]
         rec = _Broadcast(
             sender, round_key, receivers, tuple(entries),
-            [bytearray(count) for _ in receivers], left_keys,
+            [bytearray(count) for _ in receivers], left_keys, copies,
         )
         self._broadcasts.append(rec)
-        self.enqueued_count += count * len(receivers)
+        self.enqueued_count += copies
         if self.record_events:
             for entry in rec.entries:
                 for receiver in receivers:
@@ -314,6 +308,9 @@ class Network:
                     self._time = time
                     self._log("DELIVER", rec.round_key, rec.sender, rk[0], entry)
                 handlers[rk](rec.sender, entry)
+                rec.undelivered -= 1
+                if not rec.undelivered:
+                    rec.entries = ()
                 remaining = left[rk] - 1
                 left[rk] = remaining
                 if not remaining:

@@ -263,6 +263,10 @@ def read_trace(path: str) -> Trace:
                 f"{path}: truncated packet data (header claims {num_packets} packets, "
                 f"file holds {held // 4})"
             )
+        if 4 * num_packets < held:
+            raise ValueError(
+                f"{path}: {held - 4 * num_packets} trailing bytes after the header's {num_packets} packets"
+            )
         packets = np.fromfile(fh, dtype="<u4", count=num_packets)
         if len(packets) != num_packets:
             raise ValueError(f"{path}: truncated packet data")

@@ -57,6 +57,9 @@ def test_config_validation():
         small_config(k=1000)  # k > d*s
     with pytest.raises(ValueError):
         small_config(trace_path="x.ntrc")  # both sources
+    for sizes in (dict(num_packets=10), dict(num_flows=5), dict(num_packets=10, num_flows=5)):
+        with pytest.raises(ValueError, match="--packets and --flows size a --zipf synthesis only"):
+            ExperimentConfig(n_switches=2, d=1, s=16, k=4, seeds=(1,), trace_path="x.ntrc", **sizes)
     with pytest.raises(ValueError):
         ExperimentConfig(n_switches=2, d=1, s=16, k=4, seeds=(1,))  # no source
     with pytest.raises(ValueError):
@@ -257,13 +260,31 @@ def test_cli_run_zipf_and_options(tmp_path):
     assert ",0.2," in body  # drop column carries the setting
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     assert main(["verify", "--trace", str(tmp_path / "missing.ntrc")]) == 1
     assert main(["gen-trace", "--zipf", "1.0", "--packets", "10", "--flows", "5",
                  "--seed", "1", "--out", "/nonexistent/dir/x.ntrc"]) == 1
     # zipf without sizes is a config error, reported not raised
     assert main(["run", "--switches", "2", "--zipf", "1.0",
                  "--out", str(tmp_path / "r.csv")]) == 1
+    capsys.readouterr()
+
+    trace = tmp_path / "a.ntrc"
+    write_trace(gen_zipf(1.0, 3000, 150, seed=7), str(trace))
+    out = tmp_path / "o.csv"
+    run = ["run", "--switches", "3", "--trace", str(trace), "--k", "8", "--slots", "64", "--out", str(out)]
+    # trace sizes come from the trace: a sizing flag would be silently ignored
+    assert main([*run, "--packets", "10", "--flows", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --packets and --flows size a --zipf synthesis only, not a --trace run\n"
+    )
+    # two traces concatenated read as one file with trailing bytes
+    trace.write_bytes(trace.read_bytes() * 2)
+    assert main(run) == 1
+    assert main(["verify", "--trace", str(trace)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(e.startswith("error: ") and "trailing bytes" in e for e in errors)
+    assert not out.exists()
 
 
 def test_non_finite_zipf_rejected(tmp_path, capsys):

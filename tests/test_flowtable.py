@@ -18,7 +18,6 @@ from nettopk.flowtable import (
     memory_bytes,
     mix32,
     snapshot_copy,
-    table_entries,
 )
 
 CFG2 = TableConfig(d=2, s=16, seeds=(7, 8))
@@ -89,7 +88,7 @@ def test_entries_vector_major_order():
     t.set_entry(1, 3, FlowEntry(9, 90))
     t.set_entry(0, 5, FlowEntry(7, 70))
     t.set_entry(0, 2, FlowEntry(8, 80))
-    assert table_entries(t) == [FlowEntry(8, 80), FlowEntry(7, 70), FlowEntry(9, 90)]
+    assert list(t.entries()) == [FlowEntry(8, 80), FlowEntry(7, 70), FlowEntry(9, 90)]
     assert t.occupancy() == 3
 
 

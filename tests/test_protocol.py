@@ -372,6 +372,33 @@ def test_finished_rounds_drop_their_entries(order):
         net.audit_exactly_once()
 
 
+@pytest.mark.parametrize("order", list(DeliveryOrder))
+def test_each_broadcast_drops_its_entries_at_its_last_delivery(order):
+    # at every return of step, a record holds no entries exactly when every
+    # copy of it has been delivered, whatever its round's state elsewhere
+    n = 4
+    switches = ingested_switches(n, CFG, stream_seed=8)
+    net = Network(NetworkConfig(n=n, drop_probability=0.3, delivery_order=order, seed=2))
+    step = net.step
+    freed_early = set()
+
+    def checked_step(handlers):
+        receiver = step(handlers)
+        for rec in net._broadcasts:
+            assert (rec.entries == ()) == all(all(seen) for seen in rec.seen)
+            if rec.entries == () and not all(net.round_complete(r, rec.round_key) for r in range(n)):
+                freed_early.add(rec.round_key)
+        return receiver
+
+    net.step = checked_step
+    stats = run_cycle(switches, net)
+    assert stats.dropped > 0
+    # records are freed before every switch has completed their round
+    assert Round.AGG in freed_early
+    assert all(rec.entries == () for rec in net._broadcasts)
+    net.audit_exactly_once()
+
+
 @settings(max_examples=25, deadline=None)
 @given(stream_seed=st.integers(0, 2**16))
 def test_replaying_a_consolidated_table_reproduces_it(stream_seed):

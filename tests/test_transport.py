@@ -151,16 +151,17 @@ def test_round_completed_by_registration_releases_held_copies():
     net.audit_exactly_once()
 
 
-def test_entries_dropped_once_every_participant_completes_the_round():
+def test_entries_dropped_at_each_broadcasts_last_delivery():
     net = make_net(3)
     net.broadcast(0, "r", [FlowEntry(1, 1)])
     net.broadcast(1, "r", [FlowEntry(2, 2)])
     drain(net)
-    # receiver 2 has completed "r"; 0 and 1 wait on 2's broadcast
-    assert [rec.entries for rec in net._broadcasts] == [(FlowEntry(1, 1),), (FlowEntry(2, 2),)]
+    # every copy of both broadcasts is delivered, so both drop their entries,
+    # although 0 and 1 still wait on 2's broadcast to complete "r"
+    assert [rec.entries for rec in net._broadcasts] == [(), ()]
+    assert not net.round_complete(0, "r") and not net.round_complete(1, "r")
     net.broadcast(2, "r", [])  # completes "r" at 0 and 1 as it registers
     assert all(net.round_complete(r, "r") for r in range(3))
-    assert not any(rec.entries for rec in net._broadcasts)
     net.audit_exactly_once()
 
 

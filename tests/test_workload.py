@@ -349,6 +349,17 @@ def test_trace_file_errors(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         read_trace(str(truncated))
 
+    trailing = tmp_path / "t.ntrc"
+    trailing.write_bytes(good + struct.pack("<I", 3))  # claims 2 packets, holds 3
+    with pytest.raises(ValueError, match="4 trailing bytes after the header's 2 packets") as exc:
+        read_trace(str(trailing))
+    assert str(trailing) in str(exc.value)
+
+    concatenated = tmp_path / "c.ntrc"
+    concatenated.write_bytes(good + good)
+    with pytest.raises(ValueError, match=f"{len(good)} trailing bytes"):
+        read_trace(str(concatenated))
+
     # a header claiming 2**40 packets must fail before anything that size is read
     oversized = tmp_path / "o.ntrc"
     oversized.write_bytes(struct.pack("<4sBIQ", TRACE_MAGIC, 1, 3, 2**40) + good[17:])
