@@ -230,10 +230,8 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
         l_counts = np.zeros((n, d, s), dtype=np.uint64)
         rng_states = [derive_seed(seed, 0x100 + i) for i in range(n)]
         for cyc in range(config.cycles):
-            for i in range(n):
-                piece = cycle_piece(streams[i], config.cycles, cyc)
-                rng_states[i], rc = _kernels.ingest_arrays(l_ids[i], l_counts[i], tcfg, rng_states[i], piece)
-                recirc += rc
+            pieces = [cycle_piece(stream, config.cycles, cyc) for stream in streams]
+            recirc += _kernels.ingest_population(l_ids, l_counts, tcfg, rng_states, pieces)
             if plan is None:
                 res = run_cycle_arrays(l_ids, l_counts, tcfg)
                 check_invariants_arrays(res, tcfg)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -333,10 +334,12 @@ class MultiVectorTable:
 
     def entries(self) -> Iterator[FlowEntry]:
         """Non-empty entries, vector-major then index order."""
-        for ids_i, counts_i in zip(self.ids, self.counts):
-            for fid, count in zip(ids_i, counts_i):
-                if fid != EMPTY_ID:
-                    yield FlowEntry(fid, count)
+        # an empty slot's id, 0, is false; tuple.__new__ builds each
+        # FlowEntry in C, where FlowEntry(fid, count) runs Python code
+        return chain.from_iterable(
+            map(tuple.__new__, repeat(FlowEntry), zip(compress(ids_i, ids_i), compress(counts_i, ids_i)))
+            for ids_i, counts_i in zip(self.ids, self.counts)
+        )
 
     def occupancy(self) -> int:
         return sum(1 for _ in self.entries())

@@ -15,18 +15,23 @@ split_stream models an adversarial placement: packets of the true top-k
 flows go to a uniformly random switch per packet, every other flow has a
 hash-assigned home switch that attracts each of its packets with
 probability `affinity` (the rest go uniformly to the other switches).
-affinity=1 gives every non-top-k flow a dedicated switch. The split is
-one pass over the trace in blocks of SPLIT_BLOCK packets: each block's
-switches are chosen, and a stable argsort (a radix sort while the switch
-array is 8 or 16 bits wide, up to 65536 switches) cuts the block into
-per-switch pieces in trace order. The random draws come in the order of a
-whole-trace choice, so the streams do not depend on the block size, and
-besides the streams only a byte of draws a packet is trace-sized.
+affinity=1 gives every non-top-k flow a dedicated switch. The split makes
+two passes over the trace in blocks of SPLIT_BLOCK packets. The first
+chooses each packet's switch into a byte-a-packet array. The second orders
+each block stably by switch (a radix sort while the switch array is 8 or
+16 bits wide, up to 65536 switches) and copies its runs into streams
+allocated at their final lengths, so each stream stays in trace order. The
+random draws come in the order of a whole-trace choice, so the streams do
+not depend on the block size. The hops are the last draws, and none is
+drawn past the last packet that leaves home; at affinity 1 none is drawn
+at all. Besides the streams, the draws and then the switch array, a byte
+a packet each, are the only trace-sized arrays.
 
 exact_topk is the ground-truth tally; ties break toward the larger flow ID,
 mirroring the consolidation tie rule. It reads Trace.tally, one cached
 np.unique per trace that read_trace's distinct-id check and split_stream's
-top-k ids share. A Trace's packets are read-only, so the tally cannot go
+top-k ids share, and sorts only the flows tied with or above the k-th
+largest tally. A Trace's packets are read-only, so the tally cannot go
 stale.
 """
 
@@ -61,9 +66,9 @@ ZIPF_BYTES_PER_FLOW = 16
 ZIPF_BLOCK = 1 << 16
 GUIDE_STEPS = 8
 
-# Packets split_stream assigns and orders by switch at a time. Bounds its
-# per-packet temporaries, the int64 hops and argsort indices among them,
-# which at trace length would set the process's peak memory.
+# Packets split_stream assigns or orders by switch at a time. Bounds its
+# per-packet temporaries, the int64 homes, hops and argsort indices among
+# them, which at trace length would set the process's peak memory.
 SPLIT_BLOCK = 1 << 16
 
 
@@ -147,9 +152,13 @@ def exact_topk(trace: Trace, k: int) -> list[FlowEntry]:
     if k < 1:
         raise ValueError("k must be >= 1")
     ids, tallies = trace.tally
+    if k < len(ids):
+        # only the flows tied with or above the k-th largest tally can rank
+        kth = np.partition(tallies, len(ids) - k)[len(ids) - k]
+        held = np.flatnonzero(tallies >= kth)
+        ids, tallies = ids[held], tallies[held]
     order = np.lexsort((-ids.astype(np.int64), -tallies.astype(np.int64)))
-    top = order[:k]
-    return [FlowEntry(int(ids[i]), int(tallies[i])) for i in top]
+    return [FlowEntry(int(ids[i]), int(tallies[i])) for i in order[:k]]
 
 
 def _home_switches(ids: np.ndarray, seed: int, n: int) -> np.ndarray:
@@ -203,41 +212,55 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     stay = np.empty(m, dtype=bool)
     for start in range(0, m, SPLIT_BLOCK):
         stay[start : start + SPLIT_BLOCK] = rng.random(min(SPLIT_BLOCK, m - start)) < plan.affinity
+    # the hops are the generator's last draws, so none is drawn past the
+    # last packet that leaves home: hop_end is one past it, 0 if none does
+    last_leave = int(np.argmin(stay[::-1])) if m else 0
+    hop_end = 0 if m == 0 or stay[m - 1 - last_leave] else m - last_leave
     home_seed = derive_seed(plan.seed, 1)
-    # the stable order keeps each switch's packets in trace order; the empty
-    # first piece serves a trace with no packets
-    pieces = [[packets[:0]] for _ in range(n)]
+    # first pass: every packet's switch, a byte a packet that outlives the draws
+    switch = np.empty(len(packets), dtype=dtype)
+    sizes = np.zeros(n, dtype=np.int64)
     top_done = rest_done = 0
     for start in range(0, len(packets), SPLIT_BLOCK):
         block = packets[start : start + SPLIT_BLOCK]
+        # every packet starts at its flow's home; a top flow's packets then
+        # take their drawn switches
+        block_switch = switch[start : start + SPLIT_BLOCK]
+        block_switch[:] = _home_switches(block, home_seed, n)
         top_mask = np.isin(block, top_ids)
-        block_switch = np.empty(len(block), dtype=dtype)
-        top_end = top_done + int(np.count_nonzero(top_mask))
-        block_switch[top_mask] = top_switch[top_done:top_end]
+        top_at = np.flatnonzero(top_mask)
+        top_end = top_done + len(top_at)
+        block_switch[top_at] = top_switch[top_done:top_end]
         top_done = top_end
-        rest = ~top_mask
-        others = block[rest]
-        rest_end = rest_done + len(others)
+        rest_end = rest_done + len(block) - len(top_at)
         # a packet that leaves home hops to one of the other n-1 switches
-        homes = _home_switches(others, home_seed, n)
-        dest = rng.integers(0, n - 1, len(others))
-        dest += homes
-        dest += 1
-        dest %= n
-        np.copyto(dest, homes, where=stay[rest_done:rest_end])
+        hops = min(rest_end, hop_end) - rest_done
+        if hops > 0:
+            at = np.flatnonzero(~top_mask)[:hops]
+            hop = rng.integers(0, n - 1, hops)
+            hop += block_switch[at]
+            hop += 1
+            hop %= n
+            leaves = ~stay[rest_done : rest_done + hops]
+            block_switch[at[leaves]] = hop[leaves]
         rest_done = rest_end
-        block_switch[rest] = dest
-        order = np.argsort(block_switch, kind="stable")
-        cuts = np.cumsum(np.bincount(block_switch, minlength=n)[:-1])
-        # copies, not views of the sorted block, so that joining a switch's
-        # pieces frees them
-        for parts, piece in zip(pieces, np.split(block[order], cuts)):
-            parts.append(piece.copy())
+        sizes += np.bincount(block_switch, minlength=n)
     del top_switch, stay
-    streams = []
-    for i in range(n):
-        streams.append(np.concatenate(pieces[i]))
-        pieces[i] = None  # freed as joined: pieces and streams stay one trace long
+    # second pass: each block, ordered stably by switch, is cut into the
+    # streams, which are allocated at their final lengths
+    streams = [np.empty(size, dtype=packets.dtype) for size in sizes.tolist()]
+    filled = [0] * n
+    for start in range(0, len(packets), SPLIT_BLOCK):
+        block_switch = switch[start : start + SPLIT_BLOCK]
+        order = np.argsort(block_switch, kind="stable")
+        ordered = packets[start : start + SPLIT_BLOCK][order]
+        counts = np.bincount(block_switch, minlength=n)
+        cut = 0
+        for i in np.flatnonzero(counts).tolist():
+            size = int(counts[i])
+            streams[i][filled[i] : filled[i] + size] = ordered[cut : cut + size]
+            filled[i] += size
+            cut += size
     return streams
 
 

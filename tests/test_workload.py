@@ -159,6 +159,16 @@ def test_exact_topk_sparse_ids():
     assert exact_topk(tr, 2) == [FlowEntry(0xFFFFFFFF, 2), FlowEntry(5, 1)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=400), st.integers(1, 45))
+def test_exact_topk_matches_a_full_sort(packets, k):
+    # few flow ids, so tallies tie at the k-th place and across it
+    tr = Trace(packets=np.array(packets, dtype=np.uint32), num_flows=40)
+    ids, tallies = tr.tally
+    order = sorted(zip(tallies.tolist(), ids.tolist()), reverse=True)[:k]
+    assert exact_topk(tr, k) == [FlowEntry(fid, count) for count, fid in order]
+
+
 def test_split_single_switch():
     tr = gen_zipf(1.0, 1000, 50, seed=2)
     streams = split_stream(tr, SplitPlan(k=8, n_switches=1, affinity=1.0, seed=3))
@@ -277,10 +287,52 @@ def test_split_matches_one_pass_per_switch(n, affinity):
         assert np.array_equal(got, want)
 
 
+# sha256 over each split_stream stream's length (8 bytes, little-endian) and
+# bytes, recorded from the split that drew a hop for every non-top packet.
+# These digests are the byte-identity contract: they never change.
+SPLIT_DIGESTS = [
+    (((1.0, 200_000, 5000, 3), 16, 10, 1.0, 5),
+     "ed1b6d7cd1cf256cf98d072d60d27d9960af73a636cf9cb65eea7e0cce9fa529"),
+    (((1.0, 200_000, 5000, 3), 16, 7, 0.99999, 6),
+     "07e9a2e69ea30cdade46b942af4a8fccc5394d1956dba687c93f21f9b0f15114"),
+    (((1.0, 3 * 2**16 + 5, 1000, 7), 8, 7, 0.999, 7),
+     "89ae74dc810c18b678970c855d1a08d64fed2bc3536f95b897052319e8c70820"),
+    (((0.8, 150_000, 20_000, 11), 32, 300, 0.5, 8),
+     "80da80889ae57d50498c61debb9496f21e3033b0ef74979b3ddfc80200b11b9e"),
+    (((1.0, 100_000, 2000, 13), 4, 3, 0.0, 9),
+     "d8f0d8967931e2a048055f3926d62aae49017fc2636dec8ca540e6e9a2ba50d0"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SPLIT_DIGESTS, ids=[str(args) for args, _ in SPLIT_DIGESTS])
+def test_split_stream_bytes_are_pinned(args, digest, monkeypatch):
+    trace_args, k, n, affinity, seed = args
+    trace = gen_zipf(*trace_args)
+    plan = SplitPlan(k=k, n_switches=n, affinity=affinity, seed=seed)
+    for block in (SPLIT_BLOCK, 1 << 12):  # the last hop falls in a middle block
+        monkeypatch.setattr(workload, "SPLIT_BLOCK", block)
+        h = hashlib.sha256()
+        for stream in split_stream(trace, plan):
+            h.update(len(stream).to_bytes(8, "little"))
+            h.update(stream.tobytes())
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("affinity", [0.0, 0.5, 0.999])
+def test_split_does_not_depend_on_the_block_size(block, affinity, monkeypatch):
+    # a block of one packet makes every leaving packet its block's only hop
+    monkeypatch.setattr(workload, "SPLIT_BLOCK", block)
+    tr = gen_zipf(1.0, 3000, 300, seed=4)
+    plan = SplitPlan(k=8, n_switches=5, affinity=affinity, seed=23)
+    for got, want in zip(split_stream(tr, plan), _split_reference(tr, plan), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_split_peak_memory_per_packet(monkeypatch):
     # with blocks of 4096 packets the per-block arrays are small next to the
-    # trace; what is left is a byte of draws a packet, then the streams and
-    # the pieces not yet joined into them, one trace long together
+    # trace; what is left is the draws and the switch array, a byte a packet
+    # each, then the switch array and the streams, one trace long together
     monkeypatch.setattr(workload, "SPLIT_BLOCK", 1 << 12)
     tr = gen_zipf(1.0, 1 << 18, 20_000, seed=5)
     tr.tally  # cached before the split, as read_trace leaves it
