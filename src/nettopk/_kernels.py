@@ -12,18 +12,10 @@ Ingest is sequential within a switch, since each packet's replacement
 decision depends on the table the previous packets left, but independent
 across switches: each has its own stream, rows and splitmix64 state.
 ingest_arrays runs precision.ingest, the batch loop the reference engine
-also uses, on one switch's rows. ingest_population runs it for every
-switch of a cycle on every available core: the switches are split into
-shares balanced by packet count, the parent ingests the first share, and
-one child per other share, started by os.fork, ingests its share and
-sends its rows, RNG states and recirculations back through a pipe. The
-parent writes them back by switch index, so the tables, states and counts
-are the serial loop's; the core count changes speed, never a result.
-Every child is reaped before ingest_population returns or raises, and a
-child's exception is raised in the parent. A cycle of fewer than
-FORK_MIN_PACKETS packets, one core, or a platform without os.fork ingests
-in process. numpy's OpenBLAS stops its worker thread at the first fork,
-and nothing here calls BLAS, so the parent forks with one thread.
+also uses, on one switch's rows; ingest_population runs it for a cycle's
+switches on every core through _fork.fork_map. numpy's OpenBLAS stops its
+worker thread at the first fork, and nothing here calls BLAS, so the parent
+forks with one thread.
 
 The merge rounds are computed in closed form with numpy. Aggregation
 writes each id's network-wide total into every Sum slot holding it.
@@ -47,12 +39,11 @@ rebound ingest_arrays records only the parent's share of a forked cycle.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_map
 from .cluster import ClusterPlan
 from .flowtable import (FieldOrder, MultiVectorTable, TableConfig, check_gtopk_rows,
                         check_identical_rows, check_sum_rows, vector_hash_indices)
@@ -88,48 +79,31 @@ FORK_MIN_PACKETS = 100_000
 
 
 def ingest_population(l_ids, l_counts, config: TableConfig, rng_states: list, pieces) -> int:
-    """Ingest pieces[i] into switch i's rows of the (n, d, s) arrays, for every i.
-
-    rng_states is updated in place; returns the recirculations. The switches
-    are split into one share per available core, balanced by packet count.
-    The parent ingests the first share while one forked child ingests each
-    other share and sends back its rows, RNG states and recirculations, so
-    the result is the serial loop's. Every child is reaped before this
-    returns or raises, and a child's exception is raised here.
-    """
-    recircs = [0] * len(pieces)
+    """Ingest pieces[i] into switch i's rows of the (n, d, s) arrays, for every i;
+    updates rng_states in place and returns the recirculations. Each share of
+    switches (see _shares) is ingested in its own process by fork_map and
+    written back by switch index, so the result is the serial loop's."""
+    parent = os.getpid()
 
     def ingest_share(share):
-        for i in share:
-            rng_states[i], recircs[i] = ingest_arrays(l_ids[i], l_counts[i], config, rng_states[i], pieces[i])
+        done = [ingest_arrays(l_ids[i], l_counts[i], config, rng_states[i], pieces[i]) for i in share]
+        # the parent ingests its rows in place; only a child's travel back
+        return share, done, None if os.getpid() == parent else (l_ids[share], l_counts[share])
 
     shares = _shares([len(p) for p in pieces], _workers(len(pieces), sum(map(len, pieces))))
-    children = []  # (pid, read end of its pipe, share), until reaped
-    try:
-        for share in shares[1:]:
-            children.append((*_fork_share(ingest_share, share, l_ids, l_counts, rng_states, recircs), share))
-        ingest_share(shares[0])
-        while children:
-            pid, reader, share = children[0]
-            with reader:
-                failure = _receive(reader, share, l_ids, l_counts, rng_states, recircs)
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(f"ingest child {pid} ended with wait status {status}")
-            if failure is not None:
-                raise failure
-    finally:
-        for pid, reader, _ in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return sum(recircs)
+    recircs = 0
+    for share, done, rows in fork_map(ingest_share, shares):
+        if rows is not None:
+            l_ids[share], l_counts[share] = rows
+        for i, (state, recirc) in zip(share, done):
+            rng_states[i] = state
+            recircs += recirc
+    return recircs
 
 
 def _workers(n: int, packets: int) -> int:
     """Processes to ingest a cycle with: one per available core, at most n."""
-    if packets < FORK_MIN_PACKETS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if packets < FORK_MIN_PACKETS or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n)
 
@@ -144,78 +118,6 @@ def _shares(sizes: list[int], workers: int) -> list[list[int]]:
         shares[w].append(i)
         loads[w] += sizes[i]
     return [sorted(share) for share in shares if share]
-
-
-_DONE, _FAILED = b"\0", b"\1"
-
-
-def _fork_share(ingest_share, share, l_ids, l_counts, rng_states, recircs):
-    """Fork a child that ingests share and writes its result to a pipe;
-    returns (pid, the pipe's read end). The child never returns: it exits
-    with status 0 once its result or its exception is written, else 1."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as out:
-            try:
-                ingest_share(share)
-            except Exception as exc:
-                out.write(_FAILED + _pickled_exception(exc))
-            else:
-                out.write(_DONE)
-                states = np.array([rng_states[i] for i in share], dtype=np.uint64)
-                counts = np.array([recircs[i] for i in share], dtype=np.int64)
-                for buf in _result_buffers(share, l_ids, l_counts, states, counts):
-                    out.write(buf)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _pickled_exception(exc: Exception) -> bytes:
-    """exc pickled, or a RuntimeError naming it if it does not round-trip."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return data
-
-
-def _result_buffers(share, l_ids, l_counts, states, counts) -> list:
-    """What a child sends, in order: its switches' rows, then their RNG
-    states and recirculations."""
-    return [row for i in share for row in (l_ids[i], l_counts[i])] + [states, counts]
-
-
-def _receive(reader, share, l_ids, l_counts, rng_states, recircs) -> Exception | None:
-    """Read one child's result into the arrays and lists, or return the
-    exception it sent. A result cut short, which only a child that exits
-    with a nonzero status leaves, is abandoned where it ends."""
-    tag = reader.read(1)
-    if tag == _FAILED:
-        return pickle.loads(reader.read())  # written by our own child
-    if tag != _DONE:
-        return None
-    states = np.empty(len(share), dtype=np.uint64)
-    counts = np.empty(len(share), dtype=np.int64)
-    for buf in _result_buffers(share, l_ids, l_counts, states, counts):
-        view = memoryview(buf).cast("B")
-        if reader.readinto(view) != len(view):
-            return None
-    for i, state, count in zip(share, states.tolist(), counts.tolist()):
-        rng_states[i], recircs[i] = state, count
-    return None
 
 
 def _place(ids: np.ndarray, counts: np.ndarray, config: TableConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,18 @@
-"""The arrays engine's ingest across processes.
+"""The arrays engine's ingest across processes, and the fork helper under it.
 
-_kernels.ingest_population forks one child per extra core and writes the
-children's rows, RNG states and recirculations back by switch index. These
-tests force the fork path with the packet threshold at 0 and two cores at
-most, and require the serial loop's tables, states and CSV bytes, no child
-left unreaped on any path, and a child's exception raised in the parent.
+_kernels.ingest_population runs one share of the switches per core through
+_fork.fork_map and writes the shares' rows, RNG states and recirculations
+back by switch index. These tests force the fork path with the packet
+threshold at 0 and two cores at most, and require the serial loop's tables,
+states and CSV bytes, no child or descriptor left behind on any path, a
+child's exception raised in the parent, and a fork that fails run in
+process.
 """
 
+import errno
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nettopk import _kernels, cli
+from nettopk._fork import fork_map
 from nettopk.cli import ExperimentConfig, cycle_piece, main, run_experiment
 from nettopk.flowtable import TableConfig
 from nettopk.precision import derive_seed
@@ -42,6 +47,11 @@ def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return True
+
+
+def open_fds():
+    """The process's open descriptors, or None where /proc/self/fd is missing."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def population(n, d, seed, cycles):
@@ -109,6 +119,7 @@ def test_no_child_outlives_an_ingest(where, monkeypatch):
     config, l_ids, l_counts, states, pieces = population(4, 2, 5, 1)
     forks = forked(monkeypatch)
     monkeypatch.setattr(_kernels, "ingest_arrays", failing_ingest(where))
+    fds = open_fds()
     if where == "clean":
         assert _kernels.ingest_population(l_ids, l_counts, config, states, pieces[0]) > 0
     else:
@@ -116,6 +127,7 @@ def test_no_child_outlives_an_ingest(where, monkeypatch):
         with pytest.raises(error, match="from a child|from the parent|wait status"):
             _kernels.ingest_population(l_ids, l_counts, config, states, pieces[0])
     assert forks == [1]
+    assert open_fds() == fds
     assert no_child_left()
 
 
@@ -155,6 +167,78 @@ def test_cli_prints_one_error_line_for_a_child_exception(tmp_path, monkeypatch, 
                  "--engine", "arrays", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: flow id 0 is the empty-slot sentinel (from a child)\n"
     assert forks == [1] and not out.exists()
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+def test_a_fork_that_fails_ingests_in_process(call, code, tmp_path, monkeypatch):
+    config, l_ids, l_counts, states, pieces = population(4, 2, 13, 1)
+    want = (l_ids.copy(), l_counts.copy(), list(states))
+    want_recirc = _kernels.ingest_population(*want[:2], config, want[2], pieces[0])
+    trace = tmp_path / "a.ntrc"
+    write_trace(gen_zipf(1.0, 3000, 150, seed=7), str(trace))
+    run = ["run", "--switches", "3", "--trace", str(trace), "--k", "8", "--slots", "64",
+           "--engine", "arrays", "--out"]
+    assert main(run + [str(tmp_path / "serial.csv")]) == 0
+    forks, failures = forked(monkeypatch), []
+
+    def fail(*args):
+        failures.append(1)
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, call, fail)
+    fds = open_fds()
+    assert _kernels.ingest_population(l_ids, l_counts, config, states, pieces[0]) == want_recirc
+    assert np.array_equal(l_ids, want[0]) and np.array_equal(l_counts, want[1]) and states == want[2]
+    assert main(run + [str(tmp_path / "failed.csv")]) == 0
+    assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert failures == [1, 1] and forks == []
+    assert open_fds() == fds
+    assert no_child_left()
+
+
+def test_fork_map_returns_results_in_share_order(monkeypatch):
+    parent = os.getpid()
+
+    def where(share):
+        return share, os.getpid() == parent
+
+    assert fork_map(where, [0, 1, 2, 3]) == [(0, True), (1, False), (2, False), (3, False)]
+    real_fork, attempts = os.fork, []
+
+    def second_fork_fails():
+        attempts.append(1)
+        if len(attempts) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    # the middle share no child could start for runs in process, in its place
+    assert fork_map(where, [0, 1, 2, 3]) == [(0, True), (1, False), (2, True), (3, False)]
+    assert len(attempts) == 3
+    assert no_child_left()
+
+
+def test_a_result_cut_short_is_a_child_failure():
+    fds = open_fds()
+    # the child writes the array, fails to pickle the lambda and exits with
+    # status 1, so its result ends where a pickle may start
+    with pytest.raises(ChildProcessError, match=r"ended with wait status 256$"):
+        fork_map(lambda share: (np.zeros(1 << 16), lambda: share), [0, 1])
+    parent = os.getpid()
+
+    def killed_mid_write(share):
+        if os.getpid() == parent:
+            time.sleep(0.5)  # read nothing until the alarm has ended the child
+            return None
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        return np.zeros(1 << 20)  # blocks on the full pipe until the alarm
+
+    # the child dies inside its array's bytes, so its result ends mid-pickle
+    with pytest.raises(ChildProcessError, match=rf"ended with wait status {signal.SIGALRM:d}$"):
+        fork_map(killed_mid_write, [0, 1])
+    assert open_fds() == fds
     assert no_child_left()
 
 

@@ -20,15 +20,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _os_attribute(node, names):
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
 def _is_os_fork(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fork" and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "os")
+    return isinstance(node, ast.Call) and _os_attribute(node.func, {"fork"})
 
 
 def test_one_process_mechanism_and_one_fork_site():
-    # ingest forks in one place; no pool, executor or second mechanism
-    calls, callers, imports = 0, [], []
+    # one helper forks; no pool, executor or second mechanism
+    calls, callers, imports, children = 0, [], [], []
     for path in SOURCES:
         text = path.read_text()
         tree = ast.parse(text, filename=str(path))
@@ -36,11 +39,15 @@ def test_one_process_mechanism_and_one_fork_site():
         callers += [f"{path.name}:{func.name}" for func in ast.walk(tree)
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and any(_is_os_fork(node) for node in ast.walk(func))]
+        # starting, reaping and killing children stays in one module
+        children += [path.name for node in ast.walk(tree)
+                     if _os_attribute(node, {"fork", "waitpid", "kill", "_exit"})]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imports += [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imports.append(node.module)
         assert "from os import" not in text
-    assert calls == 1 and callers == ["_kernels.py:_fork_share"]
+    assert calls == 1 and callers == ["_fork.py:_start"]
+    assert set(children) == {"_fork.py"}
     assert not [m for m in imports if m.split(".")[0] in ("multiprocessing", "concurrent")]
