@@ -181,21 +181,20 @@ class ArrayCycleResult:
 
 
 def run_cycle_arrays(l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfig) -> ArrayCycleResult:
-    """One lossless cycle over an (n, d, s) switch population."""
-    snap_ids = l_ids.copy()
-    snap_counts = l_counts.copy()
-    sum_counts = snap_counts.copy()
-    delivered = int(aggregate_arrays(snap_ids, snap_counts, sum_counts))
-    g_ids = np.zeros_like(snap_ids)
-    g_counts = np.zeros_like(snap_counts)
-    delivered += int(consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, config))
-    return ArrayCycleResult(snap_ids, snap_counts, sum_counts, g_ids, g_counts, delivered)
+    """One lossless cycle over an (n, d, s) switch population. Its Snapshot is
+    l_ids and l_counts, uncopied: the merge writes only Sum's counts and G-TopK."""
+    sum_counts = l_counts.copy()
+    delivered = int(aggregate_arrays(l_ids, l_counts, sum_counts))
+    g_ids = np.zeros_like(l_ids)
+    g_counts = np.zeros_like(l_counts)
+    delivered += int(consolidate_arrays(l_ids, sum_counts, g_ids, g_counts, config))
+    return ArrayCycleResult(l_ids, l_counts, sum_counts, g_ids, g_counts, delivered)
 
 
 def check_invariants_arrays(res: ArrayCycleResult, config: TableConfig) -> None:
-    """Post-cycle invariants; Sum has Snapshot's ids by construction, and
-    once every switch holds the same G-TopK table, switch 0's stands for all."""
-    check_sum_rows(res.snap_ids, res.snap_counts, res.snap_ids, res.sum_counts)
+    """Post-cycle invariants; Sum is a counter column over the Snapshot's ids,
+    and once every switch holds the same G-TopK table, switch 0's stands for all."""
+    check_sum_rows(res.snap_ids, res.snap_counts, res.sum_counts)
     check_identical_rows(res.g_ids, res.g_counts, "g_topk")
     check_gtopk_rows(res.g_ids[0], res.g_counts[0], config)
 

@@ -5,11 +5,11 @@ Phase 1 runs a full cycle independently inside each cluster, leaving all
 members of a cluster with the same merged table. Phase 2 takes one
 representative per cluster and runs a cycle among representatives, using
 each one's phase-1 merged table as its local table. Phase 3 broadcasts the
-representatives' final table back to their members, who rebuild it by
-walking the received entries into an empty table; a consolidated table
-replayed this way reproduces itself exactly, so afterwards every switch in
-the network serves the identical query table. Every phase-1 and phase-2
-cycle and the final query tables pass flowtable's invariant checks.
+representatives' final table back to their members, who rebuild it into
+G-TopK through their own consolidation handler and publish it as Query; a
+consolidated table replayed this way reproduces itself exactly, so every
+switch ends with identical G-TopK and Query tables, as after a flat cycle.
+Every phase-1 and phase-2 cycle passes flowtable's invariant checks.
 
 The message saving comes from replacing one n-wide all-to-all with c
 cluster-local all-to-alls plus a c-wide one plus a linear dissemination.
@@ -20,15 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .flowtable import FieldOrder, MultiVectorTable, SlotMap, snapshot_copy
-from .protocol import (
-    CycleStats,
-    check_cycle_invariants,
-    check_identical_tables,
-    consolidate_into,
-    run_cycle,
-    run_rounds,
-)
+from .flowtable import SlotMap
+from .protocol import CycleStats, check_cycle_invariants, check_identical_tables, run_cycle, run_rounds
 from .transport import Network, NetworkConfig
 
 
@@ -83,7 +76,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
     net_config supplies loss and ordering policy; each phase gets fresh
     transport instances (phase boundaries are global barriers). Every
     phase-1 and phase-2 cycle passes check_cycle_invariants; afterwards
-    every switch's query table holds the same network-wide result.
+    every switch's G-TopK and Query tables hold the same network-wide result.
     """
     sws = {sw.switch_id: sw for sw in switches}
 
@@ -110,37 +103,32 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
     net2.audit_exactly_once()
     check_cycle_invariants([sws[r] for r in reps])
 
-    # phase 3: representatives, whose query tables phase 2 already set,
+    # phase 3: representatives, whose tables phase 2 already set,
     # disseminate the final table to their clusters
     p3 = CycleStats(0, 0)
     for cid in range(plan.c):
         rep = plan.representatives[cid]
         members = plan.members(cid)
-        others = [m for m in members if m != rep]
+        others = [sws[m] for m in members if m != rep]
         final = sws[rep].g_topk
         if others:
             net3 = make_net(members, 3000 + cid)
             net3.broadcast(rep, "install", list(final.entries()))
-            rebuilt = {
-                m: MultiVectorTable(sws[rep].config, FieldOrder.COUNT_FIRST) for m in others
-            }
             slots = SlotMap(final.config, [final])
-            handlers = {(m, "install"): _replayer(table, slots) for m, table in rebuilt.items()}
+            for sw in others:
+                sw.begin_install(slots)
+            handlers = {(sw.switch_id, "install"): sw.handle_consolidation_packet for sw in others}
             while net3.step(handlers) is not None:
                 pass
             net3.audit_exactly_once()
             p3.delivered += net3.delivered_count
             p3.dropped += net3.dropped_count
-            for m in others:
-                sws[m].query = snapshot_copy(rebuilt[m], FieldOrder.ID_FIRST)
+            for sw in others:
+                sw.end_consolidation()
 
+    check_identical_tables(switches, "g_topk")
     check_identical_tables(switches, "query")
     return ClusteredStats(p1, p2, p3)
-
-
-def _replayer(table: MultiVectorTable, slots: SlotMap):
-    """Phase 3's delivery handler: walk each received entry into table."""
-    return lambda sender, entry: consolidate_into(table, entry.id, entry.count, slots=slots)
 
 
 # Closed-form lossless message counts.

@@ -208,15 +208,13 @@ def check_gtopk_rows(ids, counts, config: TableConfig) -> None:
                                      f"its probe ({e}, {j[a]})")
 
 
-def check_sum_rows(snap_ids, snap_counts, sum_ids, sum_counts, switch_ids=None) -> None:
-    """Over an (n, d, s) population, every Sum slot holds its Snapshot slot's
-    id and, when occupied, that id's total over all Snapshots."""
+def check_sum_rows(snap_ids, snap_counts, sum_counts, switch_ids=None) -> None:
+    """Over an (n, d, s) population, every occupied Sum slot counts its
+    Snapshot slot's id's total over all Snapshots. Sum is a counter column
+    over the Snapshot's ids, so it has no ids of its own to check."""
     snap_ids, snap_counts = _rows(snap_ids, snap_counts)
-    sum_ids, sum_counts = _rows(sum_ids, sum_counts)
+    sum_counts = np.asarray(sum_counts, dtype=np.uint64)
     names = switch_ids or range(len(snap_ids))
-    for k, i, j in np.argwhere(sum_ids != snap_ids)[:1]:
-        raise InvariantError(f"sum slot ({i}, {j}) on switch {names[k]} holds flow "
-                             f"{sum_ids[k, i, j]}, its snapshot slot {snap_ids[k, i, j]}")
     held = snap_ids != EMPTY_ID
     uniq, inverse = np.unique(snap_ids[held], return_inverse=True)
     totals = np.zeros(len(uniq), dtype=np.uint64)
@@ -225,7 +223,7 @@ def check_sum_rows(snap_ids, snap_counts, sum_ids, sum_counts, switch_ids=None) 
     expect[held] = totals[inverse]
     for k, i, j in np.argwhere(held & (sum_counts != expect))[:1]:
         raise InvariantError(f"sum disagreement at ({i}, {j}) on switch {names[k]}: flow "
-                             f"{sum_ids[k, i, j]} has {sum_counts[k, i, j]}, total {expect[k, i, j]}")
+                             f"{snap_ids[k, i, j]} has {sum_counts[k, i, j]}, total {expect[k, i, j]}")
 
 
 def check_identical_rows(ids, counts, name: str, switch_ids=None) -> None:

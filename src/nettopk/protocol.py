@@ -1,10 +1,12 @@
 """Per-switch protocol state machine for network-wide top-k agreement.
 
-Each switch keeps five tables. L-TopK tracks the switch's own traffic
-continuously. A cycle freezes it into Snapshot, accumulates network-wide
-counts for those flows into Sum (aggregation round), then lets every
-switch's Sum entries compete slot-by-slot into G-TopK (consolidation
-round). Query is the stable copy of G-TopK served between cycles.
+Each switch keeps five tables, the 36·d·s bytes cli.node_memory_bytes
+charges, and no other. L-TopK tracks the switch's own traffic continuously.
+A cycle freezes it into Snapshot, accumulates network-wide counts for those
+flows into Sum, a counter column over the Snapshot's ids (aggregation
+round), then lets every switch's Sum entries compete slot-by-slot into
+G-TopK (consolidation round). Query is the stable copy of G-TopK served
+between cycles. begin_install opens consolidation alone, for a rebuild.
 
 Both rounds are single forward passes per message with fixed field order
 (IDs before counts in aggregation, counts before IDs in consolidation),
@@ -32,6 +34,7 @@ views, which record each access, to prove the pipeline order.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -125,12 +128,11 @@ class SwitchState:
         self.switch_id = switch_id
         self.config = config
         self.l_topk = LocalTopKState.create(config, rng_seed)
-        self.snapshot = MultiVectorTable(config, FieldOrder.ID_FIRST)
-        self.sum = MultiVectorTable(config, FieldOrder.ID_FIRST)
+        self._freeze(self.l_topk.table)
         self.g_topk = MultiVectorTable(config, FieldOrder.COUNT_FIRST)
         self.query = MultiVectorTable(config, FieldOrder.ID_FIRST)
-        # slot indices of ids; run_rounds shares one map of the ids its
-        # messages carry among the participants for the cycle's length
+        # slot indices of ids; a cycle or an install shares one map of the
+        # ids its messages carry among the participants until they end it
         self.slots = SlotMap(config)
         self.phase = RoundPhase.IDLE
 
@@ -138,14 +140,27 @@ class SwitchState:
         if self.phase is not phase:
             raise PhaseError(f"{op} requires {phase.value}, switch {self.switch_id} is in {self.phase.value}")
 
+    def _freeze(self, src: MultiVectorTable) -> None:
+        """Copy src into Snapshot and its counts into Sum, a counter column
+        over the Snapshot's id rows, which it shares."""
+        self.snapshot = snapshot_copy(src, FieldOrder.ID_FIRST)
+        self.sum = copy(self.snapshot)
+        self.sum.counts = [row[:] for row in src.counts]
+
     def begin_cycle(self, source: MultiVectorTable | None = None) -> None:
         """Freeze the local table (or an explicit source) and open aggregation."""
         self._require(RoundPhase.IDLE, "begin_cycle")
-        src = source if source is not None else self.l_topk.table
-        self.snapshot = snapshot_copy(src, FieldOrder.ID_FIRST)
-        self.sum = snapshot_copy(self.snapshot, FieldOrder.ID_FIRST)
+        self._freeze(source if source is not None else self.l_topk.table)
         self.g_topk = MultiVectorTable(self.config, FieldOrder.COUNT_FIRST)
         self.phase = RoundPhase.AGGREGATION
+
+    def begin_install(self, slots: SlotMap) -> None:
+        """Empty G-TopK and open consolidation alone, to rebuild a table
+        whose entries arrive over the transport; slots maps their ids."""
+        self._require(RoundPhase.IDLE, "begin_install")
+        self.g_topk = MultiVectorTable(self.config, FieldOrder.COUNT_FIRST)
+        self.slots = slots
+        self.phase = RoundPhase.CONSOLIDATION
 
     def handle_aggregation_packet(self, sender: int, entry: FlowEntry, log: AccessLog | None = None) -> None:
         """Add a received count to Sum where Snapshot holds the same id."""
@@ -153,8 +168,7 @@ class SwitchState:
         if sender == self.switch_id:
             raise InvariantError(f"switch {sender} received its own packet")
         fid = entry.id
-        snap_ids, _ = logged_rows(self.snapshot, log)
-        _, sum_counts = logged_rows(self.sum, log)
+        snap_ids, sum_counts = logged_rows(self.sum, log)
         for i, j in enumerate(self.slots[fid]):
             if snap_ids[i][j] == fid:
                 sum_counts[i][j] += entry.count
@@ -175,8 +189,10 @@ class SwitchState:
         consolidate_into(self.g_topk, entry.id, entry.count, log, self.slots)
 
     def end_consolidation(self) -> None:
+        """Publish G-TopK as Query and drop the cycle's or install's SlotMap."""
         self._require(RoundPhase.CONSOLIDATION, "end_consolidation")
         self.query = snapshot_copy(self.g_topk, FieldOrder.ID_FIRST)
+        self.slots = SlotMap(self.config)
         self.phase = RoundPhase.IDLE
 
     def query_flow(self, flow_id: int) -> int | None:
@@ -206,8 +222,8 @@ def run_rounds(switches, net) -> CycleStats:
     Each switch must already have begun its cycle, from its local table or
     from an explicit source. Every id a message or a consolidation walk
     carries sits in some participant's Snapshot, so one SlotMap over the
-    Snapshots, shared by all participants, hashes each id once. The
-    switches drop it when the cycle ends.
+    Snapshots, shared by all participants, hashes each id once. Each
+    switch drops it when it ends consolidation.
     """
     sws = {sw.switch_id: sw for sw in switches}
     if set(sws) != set(net.participants):
@@ -229,7 +245,6 @@ def run_rounds(switches, net) -> CycleStats:
     for sw in sws.values():
         if sw.phase is not RoundPhase.IDLE:
             raise InvariantError(f"switch {sw.switch_id} stuck in {sw.phase.value}")
-        sw.slots = SlotMap(sw.config)
     return CycleStats(
         delivered=net.delivered_count - base_delivered,
         dropped=net.dropped_count - base_dropped,
@@ -271,9 +286,9 @@ def _population(switches, attr: str) -> tuple[list, list]:
 
 
 def check_sum_agreement(switches) -> None:
-    """Every Sum slot holds its Snapshot's id and that id's network-wide total."""
+    """Every occupied Sum slot counts its Snapshot id's network-wide total."""
     ids = [sw.switch_id for sw in switches]
-    check_sum_rows(*_population(switches, "snapshot"), *_population(switches, "sum"), ids)
+    check_sum_rows(*_population(switches, "snapshot"), [sw.sum.counts for sw in switches], ids)
 
 
 def check_identical_tables(switches, attr: str) -> None:

@@ -90,3 +90,12 @@ def ingested_switches(n: int, config: TableConfig, stream_seed: int,
 
 def sorted_entries(t: MultiVectorTable) -> list[FlowEntry]:
     return sorted(t.entries())
+
+
+def held_bytes(sw: SwitchState) -> int:
+    """Bytes a switch's five tables hold at 4-byte fields: 4 * s per distinct
+    id row and count row, so rows two tables share are counted once."""
+    tables = (sw.l_topk.table, sw.snapshot, sw.sum, sw.g_topk, sw.query)
+    rows = [row for t in tables for row in (*t.ids, *t.counts)]
+    assert all(len(row) == sw.config.s for row in rows)
+    return 4 * sw.config.s * len({id(row) for row in rows})

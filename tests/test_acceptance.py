@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import full_table, sorted_entries, switch_from_arrays
+from helpers import full_table, held_bytes, sorted_entries, switch_from_arrays
 from nettopk._kernels import ingest_arrays, run_clustered_arrays, run_cycle_arrays
 from nettopk.cli import (
     ExperimentConfig,
@@ -203,8 +203,12 @@ def test_criterion_3_two_switch_golden_outcome():
 
 def test_criterion_4_per_switch_memory():
     got = node_memory_bytes(2, 4096)
-    ok = got == 294_912
-    assert _verdict(4, "d=2, s=4096 switch costs 294,912 bytes (288KB)", ok, f"{got} bytes")
+    sw = SwitchState(0, TableConfig(d=2, s=4096, seeds=(1, 2)), rng_seed=1)
+    run_cycle([sw], Network(NetworkConfig(n=1)))
+    held = held_bytes(sw)
+    ok = got == held == 294_912
+    assert _verdict(4, "d=2, s=4096 switch costs and holds 294,912 bytes (288KB)", ok,
+                    f"{got} bytes charged, {held} held after a cycle")
 
 
 def _full_population(n: int, s: int, seeds) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,8 @@ from nettopk.cluster import (
     partition,
     run_clustered,
 )
-from nettopk.flowtable import TableConfig
-from nettopk.protocol import InvariantError, check_cycle_invariants, run_cycle
+from nettopk.flowtable import AccessLog, FieldOrder, TableConfig
+from nettopk.protocol import InvariantError, PhaseError, SwitchState, check_cycle_invariants, run_cycle
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
 CFG = TableConfig(d=2, s=16, seeds=(41, 42))
@@ -65,12 +65,51 @@ def test_clustered_queries_identical_everywhere():
         NetworkConfig(n=9, drop_probability=0.2, delivery_order=DeliveryOrder.RANDOM, seed=3),
     )
     ref = switches[0].query
-    assert all(sw.query.equals(ref) for sw in switches)
+    assert all(sw.query.equals(ref) and sw.g_topk.equals(ref) for sw in switches)
     assert ref.occupancy() > 0
     assert stats.delivered == sum(
         (stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered)
     )
     assert stats.dropped > 0
+
+
+def test_phase3_deliveries_are_pipeline_legal(monkeypatch):
+    """Each phase-3 delivery is one forward pass of the receiving member's
+    own consolidation handler, after begin_install emptied its G-TopK."""
+    handle, begin_install = SwitchState.handle_consolidation_packet, SwitchState.begin_install
+    installing, installs = set(), []
+
+    def tracked_begin_install(sw, slots):
+        installing.add(sw.switch_id)
+        begin_install(sw, slots)
+
+    def logged_handle(sw, sender, entry, log=None):
+        log = AccessLog()
+        handle(sw, sender, entry, log)
+        assert log.records and log.recirculations == 0
+        log.verify(FieldOrder.COUNT_FIRST)
+        installs.append(sw.switch_id in installing)
+
+    monkeypatch.setattr(SwitchState, "begin_install", tracked_begin_install)
+    monkeypatch.setattr(SwitchState, "handle_consolidation_packet", logged_handle)
+    switches = ingested_switches(8, CFG, stream_seed=5)
+    plan = partition(8, 3, seed=6)
+    stats = run_clustered(
+        switches, plan,
+        NetworkConfig(n=8, drop_probability=0.2, delivery_order=DeliveryOrder.RANDOM, seed=7),
+    )
+    assert installing == set(range(8)) - set(plan.representatives)
+    assert sum(installs) == stats.phase3.delivered > 0
+
+
+def test_install_copy_outside_consolidation_raises():
+    switches = ingested_switches(3, CFG, stream_seed=4)
+    run_cycle(switches, Network(NetworkConfig(n=3, seed=1)))
+    net = Network(NetworkConfig(n=3, seed=2))
+    net.broadcast(0, "install", list(switches[0].g_topk.entries()))
+    handlers = {(m, "install"): switches[m].handle_consolidation_packet for m in (1, 2)}
+    with pytest.raises(PhaseError, match="handle_consolidation_packet requires consolidation"):
+        net.step(handlers)
 
 
 def test_single_cluster_matches_flat_run_at_one_vector():
@@ -130,9 +169,10 @@ def test_clustered_arrays_match_reference():
         stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered
     )
     for i, sw in enumerate(switches):
-        q_ids, q_counts = table_to_arrays(sw.query)
-        assert np.array_equal(res.query_ids[i], q_ids)
-        assert np.array_equal(res.query_counts[i], q_counts)
+        for table in (sw.g_topk, sw.query):
+            ids, counts = table_to_arrays(table)
+            assert np.array_equal(res.query_ids[i], ids)
+            assert np.array_equal(res.query_counts[i], counts)
 
 
 @pytest.mark.parametrize(

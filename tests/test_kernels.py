@@ -154,8 +154,9 @@ def test_clustered_arrays_match_object_model(c, d, n, s, flows, drop, order, see
     )
     res = run_clustered_arrays(l_ids, l_counts, config, plan)
 
-    q_ids, q_counts = stacked([sw.query for sw in switches])
-    assert np.array_equal(q_ids, res.query_ids)
-    assert np.array_equal(q_counts, res.query_counts)
+    for attr in ("g_topk", "query"):
+        ids, counts = stacked([getattr(sw, attr) for sw in switches])
+        assert np.array_equal(ids, res.query_ids)
+        assert np.array_equal(counts, res.query_counts)
     phases = (stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered)
     assert phases == res.phase_delivered

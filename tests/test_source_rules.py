@@ -51,3 +51,15 @@ def test_one_process_mechanism_and_one_fork_site():
     assert calls == 1 and callers == ["_fork.py:_start"]
     assert set(children) == {"_fork.py"}
     assert not [m for m in imports if m.split(".")[0] in ("multiprocessing", "concurrent")]
+
+
+def test_only_protocol_calls_consolidate_into():
+    # every walk into a G-TopK, phase 3's included, runs in a switch's handlers
+    callers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "consolidate_into" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"protocol.py"}
