@@ -4,9 +4,10 @@ The object model in flowtable/precision/protocol/cluster is the readable
 reference implementation; this module runs the same lossless cycles over
 packed uint64 arrays so large configurations (hundreds of switches,
 millions of packets) finish in seconds. Only it and cli know the layout:
-ids[d, s] and counts[d, s] per table, ids[n, d, s] per switch population,
-id 0 with count 0 for an empty slot. Shape and hash seeds come from the
-simulation's shared TableConfig.
+ids[d, s] and counts[d, s] per table, id 0 with count 0 for an empty slot.
+A population's local tables, Snapshots and Sum counts are (n, d, s);
+G-TopK and Query are one (d, s) table each, the one every switch holds.
+Shape and hash seeds come from the simulation's shared TableConfig.
 
 Ingest is sequential within a switch, since each packet's replacement
 decision depends on the table the previous packets left, but independent
@@ -20,12 +21,13 @@ forks with one thread.
 The merge rounds are computed in closed form with numpy. Aggregation
 writes each id's network-wide total into every Sum slot holding it.
 Consolidation ends with the same G-TopK on every switch whatever the
-delivery order, so it is computed once: the distinct (id, count) pairs are
-placed in descending (count, id) order, where no walk ever evicts or swaps
-and each pair lands in the first empty slot on its probe path. Differential
-tests pin the cycles against the object model's message-by-message ones.
-The post-cycle invariant checks are flowtable's, the ones the object model
-runs too.
+delivery order, so it is computed and held once: the distinct (id, count)
+pairs are placed in descending (count, id) order, where no walk ever evicts
+or swaps and each pair lands in the first empty slot on its probe path.
+Clustered phase 3 replays the representatives' table once and requires the
+replay to reproduce it. Differential tests pin the cycles against the
+object model's message-by-message ones. The post-cycle invariant checks
+are flowtable's, the ones the object model runs too.
 
 perfbench/run.py times the engine by rebinding names, which fixes these:
 HAVE_NUMBA, ingest_arrays and the three merge functions are module
@@ -158,7 +160,7 @@ def aggregate_arrays(snap_ids, snap_counts, sum_counts) -> int:
 
 
 def consolidate_arrays(sum_ids, sum_counts, g_ids, g_counts, config: TableConfig) -> int:
-    """All-to-all consolidation round into empty G-TopK tables; returns deliveries."""
+    """All-to-all consolidation round into the empty (d, s) G-TopK; returns deliveries."""
     n = sum_ids.shape[0]
     g_ids[:], g_counts[:] = _place(sum_ids, sum_counts, config)
     return (n - 1) * int(np.count_nonzero(sum_ids))
@@ -182,21 +184,20 @@ class ArrayCycleResult:
 
 def run_cycle_arrays(l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfig) -> ArrayCycleResult:
     """One lossless cycle over an (n, d, s) switch population. Its Snapshot is
-    l_ids and l_counts, uncopied: the merge writes only Sum's counts and G-TopK."""
+    l_ids and l_counts, uncopied: the merge writes only Sum's counts and the
+    one (d, s) G-TopK table every switch ends the cycle holding."""
     sum_counts = l_counts.copy()
     delivered = int(aggregate_arrays(l_ids, l_counts, sum_counts))
-    g_ids = np.zeros_like(l_ids)
-    g_counts = np.zeros_like(l_counts)
+    g_ids, g_counts = np.zeros((2, config.d, config.s), dtype=np.uint64)
     delivered += int(consolidate_arrays(l_ids, sum_counts, g_ids, g_counts, config))
     return ArrayCycleResult(l_ids, l_counts, sum_counts, g_ids, g_counts, delivered)
 
 
 def check_invariants_arrays(res: ArrayCycleResult, config: TableConfig) -> None:
-    """Post-cycle invariants; Sum is a counter column over the Snapshot's ids,
-    and once every switch holds the same G-TopK table, switch 0's stands for all."""
+    """Post-cycle invariants: Sum is a counter column over the Snapshot's ids,
+    and the one G-TopK table is placed and ordered."""
     check_sum_rows(res.snap_ids, res.snap_counts, res.sum_counts)
-    check_identical_rows(res.g_ids, res.g_counts, "g_topk")
-    check_gtopk_rows(res.g_ids[0], res.g_counts[0], config)
+    check_gtopk_rows(res.g_ids, res.g_counts, config)
 
 
 @dataclass
@@ -210,35 +211,28 @@ class ClusteredArrayResult:
 def run_clustered_arrays(
     l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfig, plan: ClusterPlan
 ) -> ClusteredArrayResult:
-    """Lossless clustered run over an (n, d, s) population, every cycle checked."""
-    g_ids = np.zeros_like(l_ids)
-    g_counts = np.zeros_like(l_counts)
+    """Lossless clustered run over an (n, d, s) population, every cycle checked;
+    its Query is the one (d, s) table every switch ends the run holding."""
+    tables = []
     p1 = 0
     for cid in range(plan.c):
         idx = np.array(plan.members(cid), dtype=np.int64)
         res = run_cycle_arrays(l_ids[idx], l_counts[idx], config)
         check_invariants_arrays(res, config)
         p1 += res.delivered
-        g_ids[idx] = res.g_ids
-        g_counts[idx] = res.g_counts
+        tables.append((res.g_ids, res.g_counts))
 
-    reps = sorted(plan.representatives)
-    ridx = np.array(reps, dtype=np.int64)
-    res = run_cycle_arrays(g_ids[ridx], g_counts[ridx], config)
+    # phase 2: each representative's local table is its cluster's G-TopK
+    rep_ids, rep_counts = map(np.stack, zip(*tables))
+    res = run_cycle_arrays(rep_ids, rep_counts, config)
     check_invariants_arrays(res, config)
-    rep_g_ids, rep_g_counts = res.g_ids, res.g_counts
     p2 = res.delivered
 
-    # phase 3: every representative holds the same table, so one replay
-    # rebuilds it for every non-representative
-    n = len(l_ids)
-    rebuilt_ids = np.zeros_like(rep_g_ids[0])
-    rebuilt_counts = np.zeros_like(rep_g_counts[0])
-    entries = replay_arrays(rep_g_ids[0], rep_g_counts[0], rebuilt_ids, rebuilt_counts, config)
-    query_ids = np.tile(rebuilt_ids, (n, 1, 1))
-    query_counts = np.tile(rebuilt_counts, (n, 1, 1))
-    query_ids[ridx] = rep_g_ids
-    query_counts[ridx] = rep_g_counts
-    p3 = entries * (n - plan.c)  # entries times the sum of |members| - 1
-    check_identical_rows(query_ids, query_counts, "query")
-    return ClusteredArrayResult(query_ids, query_counts, p1 + p2 + p3, (p1, p2, p3))
+    # phase 3: one replay rebuilds the representatives' table for every
+    # other switch, and must reproduce it
+    rebuilt_ids, rebuilt_counts = np.zeros((2, config.d, config.s), dtype=np.uint64)
+    entries = replay_arrays(res.g_ids, res.g_counts, rebuilt_ids, rebuilt_counts, config)
+    check_identical_rows(np.stack((res.g_ids, rebuilt_ids)),
+                         np.stack((res.g_counts, rebuilt_counts)), "query")
+    p3 = entries * (len(l_ids) - plan.c)  # entries times the sum of |members| - 1
+    return ClusteredArrayResult(res.g_ids, res.g_counts, p1 + p2 + p3, (p1, p2, p3))

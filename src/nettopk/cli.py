@@ -45,7 +45,7 @@ from .precision import derive_seed, ingest
 from .protocol import MAX_SWITCHES, InvariantError, SwitchState, check_cycle_invariants, run_cycle
 from .transport import DeliveryOrder, Network, NetworkConfig
 from .workload import MAX_FLOWS, SplitPlan, Trace, check_synthesis_memory, exact_topk, gen_zipf
-from .workload import read_trace, split_stream, write_trace
+from .workload import physical_memory, read_trace, split_stream, write_trace
 
 CSV_HEADER = "seed,n,clusters,d,s,k,zipf,packets,flows,affinity,drop,recall,messages,memory_bytes,recirculations"
 
@@ -63,6 +63,25 @@ def node_memory_bytes(d: int, s: int) -> int:
     """Per-switch memory: four full (4+4)-byte tables plus a counter-only one."""
     cfg = TableConfig(d=d, s=s, seeds=(0,) * d)
     return 4 * memory_bytes(cfg, 4, 4) + memory_bytes(cfg, 0, 4)
+
+
+# Bytes each engine holds a switch and a table slot (d * s slots a switch)
+# for a whole run, by tracemalloc with every table empty: the reference
+# engine's nine row lists of 8-byte pointers (Sum shares the Snapshot's id
+# row), the arrays engine's uint64 local ids and counts. A floor: a run's
+# checks and ingested entries hold more at its peak.
+TABLE_BYTES_PER_SLOT = {"reference": 72, "arrays": 16}
+
+
+def check_table_memory(n: int, d: int, s: int, engine: str) -> None:
+    """Reject tables that would need more than physical memory."""
+    need = TABLE_BYTES_PER_SLOT[engine] * n * d * s
+    have = physical_memory()
+    if need > have:
+        raise ValueError(
+            f"--slots {s} and --vectors {d} on {n} switches need at least {need / 2**30:.1f} GiB "
+            f"of {engine} engine tables, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -85,12 +104,18 @@ class ExperimentConfig:
     engine: str = "auto"  # auto | reference | arrays
 
     def __post_init__(self) -> None:
+        if self.engine not in ("auto", "reference", "arrays"):
+            raise ValueError("engine must be auto, reference, or arrays")
+        if self.engine == "arrays" and self.drop_probability > 0.0:
+            raise ValueError("the arrays engine is lossless only")
+        if self.n_switches > MAX_SWITCHES:
+            raise ValueError(f"--switches must be at most {MAX_SWITCHES}: switch ids are 16 bits")
+        # before TableConfig, which builds a d-long tuple
+        check_table_memory(self.n_switches, self.d, self.s, _choose_engine(self))
         # the validators of the objects a run builds from these fields
         TableConfig(d=self.d, s=self.s, seeds=(0,) * self.d)
         NetworkConfig(n=self.n_switches, drop_probability=self.drop_probability)
         SplitPlan(k=self.k, n_switches=self.n_switches, affinity=self.affinity, seed=0)
-        if self.n_switches > MAX_SWITCHES:
-            raise ValueError(f"--switches must be at most {MAX_SWITCHES}: switch ids are 16 bits")
         if not 1 <= self.k <= self.d * self.s:
             raise ValueError("k must be in [1, d*s]")
         if (self.zipf_a is None) == (self.trace_path is None):
@@ -112,10 +137,6 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if self.engine not in ("auto", "reference", "arrays"):
-            raise ValueError("engine must be auto, reference, or arrays")
-        if self.engine == "arrays" and self.drop_probability > 0.0:
-            raise ValueError("the arrays engine is lossless only")
 
 
 def _check_cycles(cycles: int, num_packets: int) -> None:
@@ -241,7 +262,7 @@ def run_on_streams(config: ExperimentConfig, seed: int, streams, truth) -> SeedR
                 cres = run_clustered_arrays(l_ids, l_counts, tcfg, plan)
                 delivered += cres.delivered
                 query_ids = cres.query_ids
-        reported = [int(x) for x in query_ids[0][query_ids[0] != 0]]
+        reported = query_ids[query_ids != 0].tolist()
 
     messages = delivered + dropped if config.include_drops else delivered
     return SeedResult(

@@ -87,10 +87,15 @@ class Trace:
         return np.unique(self.packets, return_counts=True)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound on what a run may allocate."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_synthesis_memory(num_packets: int, num_flows: int) -> None:
     """Reject a synthesis that would need more than physical memory."""
     need = ZIPF_BYTES_PER_PACKET * num_packets + ZIPF_BYTES_PER_FLOW * num_flows
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise ValueError(
             f"--packets {num_packets} needs at least {need / 2**30:.1f} GiB to synthesize "
@@ -132,10 +137,14 @@ def gen_zipf(a: float, num_packets: int, num_flows: int, seed: int) -> Trace:
     """
     if not 0 < a < float("inf"):
         raise ValueError(f"zipf exponent must be positive and finite, not {a}")
+    if num_packets < 0:
+        raise ValueError(f"--packets must be non-negative, not {num_packets}")
     if num_flows < 1:
-        raise ValueError("need at least one flow")
+        raise ValueError(f"--flows must be at least 1, not {num_flows}")
     if num_flows > MAX_FLOWS:
         raise ValueError(f"--flows must be at most {MAX_FLOWS}: flow ids are uint32")
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {seed}")
     check_synthesis_memory(num_packets, num_flows)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(np.arange(1, num_flows + 1, dtype=np.float64) ** -a)

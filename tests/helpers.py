@@ -76,6 +76,12 @@ def table_to_arrays(t: MultiVectorTable) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def stacked_arrays(tables) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d, s) ids and counts of n tables, in order."""
+    ids, counts = zip(*(table_to_arrays(t) for t in tables))
+    return np.stack(ids), np.stack(counts)
+
+
 def ingested_switches(n: int, config: TableConfig, stream_seed: int,
                       packets_per_switch: int = 1500, flows: int = 120) -> list[SwitchState]:
     """n switches with zipf traffic already accounted into their local tables."""

@@ -229,7 +229,7 @@ def test_criterion_5_message_scaling_110x():
         l_ids, l_counts = _full_population(n, s, seeds)
         res = run_cycle_arrays(l_ids, l_counts, config)
         delivered[n] = res.delivered
-        assert int(np.count_nonzero(res.g_ids[0])) == entries  # tables stay full
+        assert int(np.count_nonzero(res.g_ids)) == entries  # tables stay full
 
     analytic10 = flat_message_count(10, entries)
     analytic100 = flat_message_count(100, entries)
@@ -269,7 +269,7 @@ def test_criterion_6_clustering_reduction():
     ok = res.delivered == analytic == 16_957_440
     ok &= res.phase_delivered == (14_745_600, 1_474_560, 737_280)
     ok &= res.delivered <= 0.15 * flat
-    ok &= int(np.count_nonzero(res.query_ids[0])) == entries
+    ok &= int(np.count_nonzero(res.query_ids)) == entries
 
     # object-model cross-check at a smaller full configuration
     cfg = TableConfig(d=2, s=16, seeds=(41, 42))
@@ -359,8 +359,8 @@ def test_criterion_8_single_switch_degeneracy():
             np.uint64(derive_seed(seed, 2)), trace.packets.astype(np.uint64),
         )
         res = run_cycle_arrays(l_ids, l_counts, cfg)
-        ok &= bool(np.array_equal(res.g_ids[0], l_ids[0]))
-        ok &= bool(np.array_equal(res.g_counts[0], l_counts[0]))
+        ok &= bool(np.array_equal(res.g_ids, l_ids[0]))
+        ok &= bool(np.array_equal(res.g_counts, l_counts[0]))
         ok &= res.delivered == 0
         checked += 1
     assert _verdict(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nettopk import cli
 from nettopk.cli import (
     CSV_HEADER,
+    TABLE_BYTES_PER_SLOT,
     ExperimentConfig,
     cycle_piece,
     main,
@@ -23,6 +24,7 @@ from nettopk.cli import (
     run_seed,
 )
 from nettopk.flowtable import FlowEntry
+from nettopk.protocol import MAX_SWITCHES
 from nettopk.transport import DeliveryOrder
 from nettopk.workload import ZIPF_BYTES_PER_FLOW, ZIPF_BYTES_PER_PACKET, gen_zipf, read_trace, write_trace
 
@@ -534,6 +536,48 @@ def test_synthesis_bound_is_physical_memory():
     most_flows = (have - ZIPF_BYTES_PER_PACKET) // ZIPF_BYTES_PER_FLOW
     with pytest.raises(ValueError, match=f"--packets 1 needs .* with --flows {most_flows + 1}, "):
         small_config(num_packets=1, num_flows=most_flows + 1)
+
+
+@pytest.mark.parametrize("engine", ["reference", "arrays"])
+def test_table_bound_is_physical_memory(engine):
+    # each boundary config is only constructed: none allocates a table
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    per_slot = TABLE_BYTES_PER_SLOT[engine]
+    d, s = 2, 1 << 20
+    most = have // (per_slot * d * s)
+    assert 1 <= most < MAX_SWITCHES
+    small_config(n_switches=most, d=d, s=s, engine=engine)
+    with pytest.raises(ValueError, match=f"--slots {s} and --vectors {d} on {most + 1} switches need "
+                                         f"at least .* of {engine} engine tables, more than "):
+        small_config(n_switches=most + 1, d=d, s=s, engine=engine)
+    most_d = have // (per_slot * 4 * s)
+    small_config(d=most_d, s=s, engine=engine)
+    with pytest.raises(ValueError, match=f"--vectors {most_d + 1} on 4 switches need"):
+        small_config(d=most_d + 1, s=s, engine=engine)
+    fits = 1 << ((have // (per_slot * 4 * d)).bit_length() - 1)
+    small_config(d=d, s=fits, engine=engine)
+    with pytest.raises(ValueError, match=f"--slots {2 * fits} and --vectors {d} on 4 switches need"):
+        small_config(d=d, s=2 * fits, engine=engine)
+
+
+def test_auto_engine_bound_follows_the_engine_it_runs():
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    s = 1 << 20
+    n = have // (TABLE_BYTES_PER_SLOT["reference"] * 2 * s) + 1
+    small_config(n_switches=n, s=s)  # lossless: the arrays engine
+    with pytest.raises(ValueError, match="of reference engine tables"):
+        small_config(n_switches=n, s=s, drop_probability=0.1)
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--packets", "-5", "non-negative"), ("--flows", "0", "at least 1"), ("--seed", "-1", "non-negative"),
+])
+def test_gen_trace_rejects_out_of_range_sizes_and_seeds(flag, value, rule, tmp_path, capsys):
+    out = tmp_path / "never.ntrc"
+    args = {"--zipf": "1.0", "--packets": "10", "--flows": "5", "--seed": "1", "--out": str(out), flag: value}
+    assert main(["gen-trace", *(x for kv in args.items() for x in kv)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be {rule}, not {value}\n"
+    assert not out.exists()
 
 
 # Physical memory admits 10**8 packets (1.5 GiB), and the 1 GiB

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import full_table, ingested_switches, switch_from_arrays, table_to_arrays
+from helpers import full_table, ingested_switches, stacked_arrays, switch_from_arrays, table_to_arrays
 from nettopk import _kernels
 from nettopk._kernels import run_clustered_arrays
 from nettopk.cluster import (
@@ -157,10 +157,7 @@ def test_clustered_beats_flat_on_messages():
 def test_clustered_arrays_match_reference():
     n = 8
     switches = ingested_switches(n, CFG, stream_seed=6)
-    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
-    l_counts = np.zeros_like(l_ids)
-    for i, sw in enumerate(switches):
-        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     plan = partition(n, 3, seed=11)
     stats = run_clustered(switches, plan, NetworkConfig(n=n, seed=12))
     res = run_clustered_arrays(l_ids, l_counts, CFG, plan)
@@ -168,11 +165,11 @@ def test_clustered_arrays_match_reference():
     assert res.phase_delivered == (
         stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered
     )
-    for i, sw in enumerate(switches):
+    for sw in switches:
         for table in (sw.g_topk, sw.query):
             ids, counts = table_to_arrays(table)
-            assert np.array_equal(res.query_ids[i], ids)
-            assert np.array_equal(res.query_counts[i], counts)
+            assert np.array_equal(res.query_ids, ids)
+            assert np.array_equal(res.query_counts, counts)
 
 
 @pytest.mark.parametrize(
@@ -184,10 +181,7 @@ def test_clustered_arrays_check_every_phase(monkeypatch, bad_call, match):
     # representatives (call 2) and once for the phase-3 replay (call 3)
     n = 8
     switches = ingested_switches(n, CFG, stream_seed=7, packets_per_switch=200, flows=10)
-    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
-    l_counts = np.zeros_like(l_ids)
-    for i, sw in enumerate(switches):
-        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     plan = partition(n, 2, seed=11)
     place = _kernels._place
     calls = []

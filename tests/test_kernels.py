@@ -2,11 +2,12 @@
 
 ingest_arrays runs precision.ingest on array rows; its test compares it
 with a process_packet loop and pins the hand-back of tables and RNG state
-between batches. The bulk engine computes G-TopK once and copies it to
-every switch, so agreement between its switches holds by construction.
-The differential tests here are what tie it to the protocol: they run the
+between batches. The bulk engine computes and holds one (d, s) G-TopK and
+one Query, so agreement between its switches holds by construction. The
+differential tests here are what tie it to the protocol: they run the
 object model message by message, under random delivery order and loss, on
-the same local tables and require identical tables and delivery counts.
+the same local tables and require every switch's tables to equal the bulk
+engine's one table, and identical delivery counts.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ingested_switches, table_to_arrays
+from helpers import ingested_switches, stacked_arrays, table_to_arrays
 from nettopk import _kernels
 from nettopk._kernels import run_clustered_arrays, run_cycle_arrays
 from nettopk.cluster import partition, run_clustered
@@ -79,15 +80,14 @@ def test_replay_reproduces_consolidated_table():
     snap_ids, snap_counts = ingest_population(3, seed=33)
     sum_counts = snap_counts.copy()
     _kernels.aggregate_arrays(snap_ids, snap_counts, sum_counts)
-    g_ids, g_counts = fresh_tables(3)
+    g_ids, g_counts, r_ids, r_counts = np.zeros((4, CFG.d, CFG.s), dtype=np.uint64)
     _kernels.consolidate_arrays(snap_ids, sum_counts, g_ids, g_counts, CFG)
 
-    r_ids, r_counts = fresh_tables(1)
-    walked = _kernels.replay_arrays(g_ids[0], g_counts[0], r_ids[0], r_counts[0], CFG)
+    walked = _kernels.replay_arrays(g_ids, g_counts, r_ids, r_counts, CFG)
     # a consolidated table replayed into an empty one reproduces itself
-    assert np.array_equal(r_ids[0], g_ids[0])
-    assert np.array_equal(r_counts[0], g_counts[0])
-    assert walked == int(np.count_nonzero(g_ids[0]))
+    assert np.array_equal(r_ids, g_ids)
+    assert np.array_equal(r_counts, g_counts)
+    assert walked == int(np.count_nonzero(g_ids))
 
 
 def test_vector_hash_indices_matches_scalar():
@@ -117,29 +117,25 @@ def population(d, n, s, flows, seed):
     return switches, config
 
 
-def stacked(tables):
-    ids, counts = zip(*(table_to_arrays(t) for t in tables))
-    return np.stack(ids), np.stack(counts)
-
-
 @settings(max_examples=30, deadline=None)
 @given(**POPULATIONS)
 def test_cycle_arrays_match_object_model(d, n, s, flows, drop, order, seed):
     switches, config = population(d, n, s, flows, seed)
-    l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     net = Network(NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed))
     stats = run_cycle(switches, net)
     res = run_cycle_arrays(l_ids, l_counts, config)
 
-    snap_ids, snap_counts = stacked([sw.snapshot for sw in switches])
-    sum_ids, sum_counts = stacked([sw.sum for sw in switches])
-    g_ids, g_counts = stacked([sw.g_topk for sw in switches])
+    snap_ids, snap_counts = stacked_arrays([sw.snapshot for sw in switches])
+    sum_ids, sum_counts = stacked_arrays([sw.sum for sw in switches])
     assert np.array_equal(snap_ids, res.snap_ids)
     assert np.array_equal(snap_counts, res.snap_counts)
     assert np.array_equal(sum_ids, res.snap_ids)
     assert np.array_equal(sum_counts, res.sum_counts)
-    assert np.array_equal(g_ids, res.g_ids)
-    assert np.array_equal(g_counts, res.g_counts)
+    for sw in switches:
+        g_ids, g_counts = table_to_arrays(sw.g_topk)
+        assert np.array_equal(g_ids, res.g_ids)
+        assert np.array_equal(g_counts, res.g_counts)
     assert stats.delivered == res.delivered
 
 
@@ -148,15 +144,16 @@ def test_cycle_arrays_match_object_model(d, n, s, flows, drop, order, seed):
 def test_clustered_arrays_match_object_model(c, d, n, s, flows, drop, order, seed):
     switches, config = population(d, n, s, flows, seed)
     plan = partition(n, min(c, n), seed)
-    l_ids, l_counts = stacked([sw.l_topk.table for sw in switches])
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     stats = run_clustered(
         switches, plan, NetworkConfig(n=n, drop_probability=drop, delivery_order=order, seed=seed)
     )
     res = run_clustered_arrays(l_ids, l_counts, config, plan)
 
-    for attr in ("g_topk", "query"):
-        ids, counts = stacked([getattr(sw, attr) for sw in switches])
-        assert np.array_equal(ids, res.query_ids)
-        assert np.array_equal(counts, res.query_counts)
+    for sw in switches:
+        for table in (sw.g_topk, sw.query):
+            ids, counts = table_to_arrays(table)
+            assert np.array_equal(ids, res.query_ids)
+            assert np.array_equal(counts, res.query_counts)
     phases = (stats.phase1.delivered, stats.phase2.delivered, stats.phase3.delivered)
     assert phases == res.phase_delivered

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import held_bytes, ingested_switches, sorted_entries, table_to_arrays
+from helpers import held_bytes, ingested_switches, sorted_entries, stacked_arrays, table_to_arrays
 from nettopk import cluster, transport
 from nettopk._kernels import check_invariants_arrays, run_cycle_arrays
 from nettopk.cli import node_memory_bytes
@@ -599,31 +599,29 @@ def test_check_identical_tables_detects_divergence():
 def test_array_cycle_matches_reference():
     n = 4
     switches = ingested_switches(n, CFG, stream_seed=8)
-    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
-    l_counts = np.zeros_like(l_ids)
-    for i, sw in enumerate(switches):
-        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     run_lossless_cycle(switches)
     res = run_cycle_arrays(l_ids, l_counts, CFG)
     check_invariants_arrays(res, CFG)
-    for i, sw in enumerate(switches):
+    for sw in switches:
         g_ids, g_counts = table_to_arrays(sw.g_topk)
-        assert np.array_equal(res.g_ids[i], g_ids)
-        assert np.array_equal(res.g_counts[i], g_counts)
-        s_ids, s_counts = table_to_arrays(sw.sum)
-        assert np.array_equal(res.sum_counts[i], s_counts)
+        assert np.array_equal(res.g_ids, g_ids)
+        assert np.array_equal(res.g_counts, g_counts)
+    assert np.array_equal(res.sum_counts, stacked_arrays([sw.sum for sw in switches])[1])
 
 
 def test_check_invariants_arrays_detects_tampering():
     n = 3
     switches = ingested_switches(n, CFG, stream_seed=9)
-    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
-    l_counts = np.zeros_like(l_ids)
-    for i, sw in enumerate(switches):
-        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     res = run_cycle_arrays(l_ids, l_counts, CFG)
-    res.g_counts[1][res.g_ids[1] != 0] += 1
-    with pytest.raises(InvariantError):
+    check_invariants_arrays(res, CFG)
+    # a vector-1 entry raised above its vector-0 probe: placed, not duplicated,
+    # so only check_gtopk_rows' ordering rule catches it
+    j1 = np.flatnonzero(res.g_ids[1])[0]
+    j0 = hash_index(CFG, 0, int(res.g_ids[1, j1]))
+    res.g_counts[1, j1] = res.g_counts[0, j0] + 1
+    with pytest.raises(InvariantError, match="ordering broken"):
         check_invariants_arrays(res, CFG)
     res2 = run_cycle_arrays(l_ids, l_counts, CFG)
     occupied = np.nonzero(res2.sum_counts.reshape(-1))[0]
@@ -635,25 +633,22 @@ def test_check_invariants_arrays_detects_tampering():
 def test_check_invariants_arrays_detects_misplacement():
     n = 3
     switches = ingested_switches(n, CFG, stream_seed=10, packets_per_switch=200, flows=10)
-    l_ids = np.zeros((n, CFG.d, CFG.s), dtype=np.uint64)
-    l_counts = np.zeros_like(l_ids)
-    for i, sw in enumerate(switches):
-        l_ids[i], l_counts[i] = table_to_arrays(sw.l_topk.table)
+    l_ids, l_counts = stacked_arrays([sw.l_topk.table for sw in switches])
     res = run_cycle_arrays(l_ids, l_counts, CFG)
     check_invariants_arrays(res, CFG)
-    held = np.nonzero(res.g_ids[0][0])[0]
-    empty = np.nonzero(res.g_ids[0][0] == 0)[0]
+    held = np.nonzero(res.g_ids[0])[0]
+    empty = np.nonzero(res.g_ids[0] == 0)[0]
     assert len(held) and len(empty)
 
-    # one vector-0 entry moved to an empty slot, on every switch alike
+    # one vector-0 entry moved to an empty slot
     moved = run_cycle_arrays(l_ids, l_counts, CFG)
     for a in (moved.g_ids, moved.g_counts):
-        a[:, 0, empty[0]] = a[:, 0, held[0]]
-        a[:, 0, held[0]] = 0
+        a[0, empty[0]] = a[0, held[0]]
+        a[0, held[0]] = 0
     with pytest.raises(InvariantError, match="misplaced"):
         check_invariants_arrays(moved, CFG)
 
-    # one empty slot given a count, on every switch alike
-    res.g_counts[:, 0, empty[0]] = 7
+    # one empty slot given a count
+    res.g_counts[0, empty[0]] = 7
     with pytest.raises(InvariantError, match="empty g_topk slot"):
         check_invariants_arrays(res, CFG)
