@@ -13,7 +13,7 @@ from .cli import (
     recall_at_k,
     run_experiment,
 )
-from .cluster import ClusterPlan, partition, run_clustered
+from .cluster import partition, run_clustered
 from .flowtable import (
     FlowEntry,
     MultiVectorTable,
@@ -28,7 +28,6 @@ from .transport import DeliveryOrder, Network, NetworkConfig
 from .workload import SplitPlan, Trace, exact_topk, gen_zipf, read_trace, split_stream, write_trace
 
 __all__ = [
-    "ClusterPlan",
     "DeliveryOrder",
     "ExperimentConfig",
     "ExperimentReport",

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_map
-from .cluster import ClusterPlan
 from .flowtable import (FieldOrder, MultiVectorTable, TableConfig, check_gtopk_rows,
                         check_identical_rows, check_sum_rows, vector_hash_indices)
 from .precision import LocalTopKState, ingest
@@ -208,16 +207,15 @@ class ClusteredArrayResult:
     phase_delivered: tuple[int, int, int]
 
 
-def run_clustered_arrays(
-    l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfig, plan: ClusterPlan
-) -> ClusteredArrayResult:
-    """Lossless clustered run over an (n, d, s) population, every cycle checked;
-    its Query is the one (d, s) table every switch ends the run holding."""
+def run_clustered_arrays(l_ids: np.ndarray, l_counts: np.ndarray, config: TableConfig,
+                         clusters) -> ClusteredArrayResult:
+    """Lossless clustered run over an (n, d, s) population, clustered as
+    cluster.partition returns, every cycle checked; its Query is the one
+    (d, s) table every switch ends the run holding."""
     tables = []
     p1 = 0
-    for cid in range(plan.c):
-        idx = np.array(plan.members(cid), dtype=np.int64)
-        res = run_cycle_arrays(l_ids[idx], l_counts[idx], config)
+    for members in clusters:
+        res = run_cycle_arrays(l_ids[list(members)], l_counts[list(members)], config)
         check_invariants_arrays(res, config)
         p1 += res.delivered
         tables.append((res.g_ids, res.g_counts))
@@ -234,5 +232,5 @@ def run_clustered_arrays(
     entries = replay_arrays(res.g_ids, res.g_counts, rebuilt_ids, rebuilt_counts, config)
     check_identical_rows(np.stack((res.g_ids, rebuilt_ids)),
                          np.stack((res.g_counts, rebuilt_counts)), "query")
-    p3 = entries * (len(l_ids) - plan.c)  # entries times the sum of |members| - 1
+    p3 = entries * (len(l_ids) - len(clusters))  # entries times the sum of |members| - 1
     return ClusteredArrayResult(res.g_ids, res.g_counts, p1 + p2 + p3, (p1, p2, p3))

@@ -135,6 +135,9 @@ class ExperimentConfig:
             raise ValueError("clusters must be in [1, n_switches]")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"--seeds must be in [0, 2**64), not {seed}")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
 
@@ -293,6 +296,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.trace_path is not None:
         trace = read_trace(config.trace_path)
         num_packets, num_flows = len(trace.packets), trace.num_flows
+        if not num_packets:
+            raise ValueError(f"trace {config.trace_path} holds no packets")
         _check_cycles(config.cycles, num_packets)
     else:
         trace = None

@@ -1,15 +1,16 @@
 """Clustered operation: per-cluster cycles, a representatives' cycle, and
 dissemination of the final table to every member.
 
-Phase 1 runs a full cycle independently inside each cluster, leaving all
-members of a cluster with the same merged table. Phase 2 takes one
-representative per cluster and runs a cycle among representatives, using
-each one's phase-1 merged table as its local table. Phase 3 broadcasts the
-representatives' final table back to their members, who rebuild it into
-G-TopK through their own consolidation handler and publish it as Query; a
-consolidated table replayed this way reproduces itself exactly, so every
-switch ends with identical G-TopK and Query tables, as after a flat cycle.
-Every phase-1 and phase-2 cycle passes flowtable's invariant checks.
+partition gives each cluster as the tuple of its members in ascending
+order, the first its representative. Phase 1 runs a full cycle inside each
+cluster, leaving its members with the same merged table. Phase 2 runs a
+cycle among the representatives, each one's phase-1 table its local table.
+Phase 3 broadcasts the representatives' final table back to their members,
+who rebuild it into G-TopK through their own consolidation handler and
+publish it as Query; a consolidated table replayed this way reproduces
+itself exactly, so every switch ends with identical G-TopK and Query
+tables, as after a flat cycle. Every phase-1 and phase-2 cycle passes
+flowtable's invariant checks.
 
 The message saving comes from replacing one n-wide all-to-all with c
 cluster-local all-to-alls plus a c-wide one plus a linear dissemination.
@@ -25,34 +26,17 @@ from .protocol import CycleStats, check_cycle_invariants, check_identical_tables
 from .transport import Network, NetworkConfig
 
 
-@dataclass(frozen=True)
-class ClusterPlan:
-    c: int
-    assignment: dict[int, int]
-    representatives: tuple[int, ...]
-
-    def members(self, cluster_id: int) -> list[int]:
-        return sorted(s for s, c in self.assignment.items() if c == cluster_id)
-
-
-def partition(n: int, c: int, seed: int) -> ClusterPlan:
-    """Split switches 0..n-1 into c clusters whose sizes differ by at most 1."""
+def partition(n: int, c: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Split switches 0..n-1 into c clusters of seeded random members; returns
+    each cluster's members in ascending order, its first the representative.
+    The first n % c clusters hold one switch more than the rest."""
     if not 1 <= c <= n:
         raise ValueError("need 1 <= c <= n")
     ids = list(range(n))
     random.Random(seed).shuffle(ids)
     base, extra = divmod(n, c)
-    assignment: dict[int, int] = {}
-    reps = []
-    pos = 0
-    for cid in range(c):
-        size = base + (1 if cid < extra else 0)
-        chunk = ids[pos : pos + size]
-        pos += size
-        for s in chunk:
-            assignment[s] = cid
-        reps.append(min(chunk))
-    return ClusterPlan(c=c, assignment=assignment, representatives=tuple(reps))
+    ends = [cid * base + min(cid, extra) for cid in range(c + 1)]
+    return tuple(tuple(sorted(ids[a:b])) for a, b in zip(ends, ends[1:]))
 
 
 @dataclass
@@ -70,8 +54,9 @@ class ClusteredStats:
         return self.phase1.dropped + self.phase2.dropped + self.phase3.dropped
 
 
-def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> ClusteredStats:
-    """Run the three clustered phases over the object model.
+def run_clustered(switches, clusters, net_config: NetworkConfig) -> ClusteredStats:
+    """Run the three clustered phases over the object model, clustered as
+    partition returns.
 
     net_config supplies loss and ordering policy; each phase gets fresh
     transport instances (phase boundaries are global barriers). Every
@@ -85,8 +70,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
         return Network(cfg, participants=tuple(participants))
 
     p1 = CycleStats(0, 0)
-    for cid in range(plan.c):
-        members = plan.members(cid)
+    for cid, members in enumerate(clusters):
         net = make_net(members, 1000 + cid)
         stats = run_cycle([sws[m] for m in members], net)
         net.audit_exactly_once()
@@ -95,7 +79,7 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
         check_cycle_invariants([sws[m] for m in members])
 
     # phase 2: each representative's merged table becomes its local table
-    reps = sorted(plan.representatives)
+    reps = sorted(members[0] for members in clusters)
     net2 = make_net(reps, 2000)
     for rep in reps:
         sws[rep].begin_cycle(source=sws[rep].g_topk)
@@ -106,10 +90,8 @@ def run_clustered(switches, plan: ClusterPlan, net_config: NetworkConfig) -> Clu
     # phase 3: representatives, whose tables phase 2 already set,
     # disseminate the final table to their clusters
     p3 = CycleStats(0, 0)
-    for cid in range(plan.c):
-        rep = plan.representatives[cid]
-        members = plan.members(cid)
-        others = [sws[m] for m in members if m != rep]
+    for cid, members in enumerate(clusters):
+        rep, others = members[0], [sws[m] for m in members[1:]]
         final = sws[rep].g_topk
         if others:
             net3 = make_net(members, 3000 + cid)
@@ -141,10 +123,9 @@ def flat_message_count(n: int, entries_per_switch: int) -> int:
 
 def clustered_message_count(n: int, c: int, entries: int) -> int:
     """Deliveries across the three clustered phases at uniform occupancy."""
-    base, extra = divmod(n, c)
-    sizes = [base + (1 if i < extra else 0) for i in range(c)]
+    sizes = [len(members) for members in partition(n, c, seed=0)]
     phase1 = sum(m * (m - 1) for m in sizes) * entries * 2
     phase2 = c * (c - 1) * entries * 2
-    phase3 = sum(m - 1 for m in sizes) * entries
+    phase3 = (n - c) * entries
     return phase1 + phase2 + phase3
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,17 @@ def test_python_m_nettopk_runs_the_cli():
     assert proc.stderr == ""
 
 
+def test_readme_quick_start_runs():
+    # the README's Python block documents the library API; it must keep running
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    proc = _fresh_python("-W", "error", "-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
+    # the flow's network-wide count, deliveries and drops
+    assert [word.isdigit() for word in proc.stdout.split()] == [True] * 3, proc.stdout
+
+
 # Flow ids are uint32: 2**32 flows would wrap the last id to 0. Under a
 # 1 GiB address-space limit, a check that let the count through would fail
 # fast on the 32 GiB cdf instead of allocating it. MAX_FLOWS itself is a
@@ -578,6 +590,34 @@ def test_gen_trace_rejects_out_of_range_sizes_and_seeds(flag, value, rule, tmp_p
     assert main(["gen-trace", *(x for kv in args.items() for x in kv)]) == 1
     assert capsys.readouterr().err == f"error: {flag} must be {rule}, not {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--engine", "reference"], ["run", "--engine", "arrays"], ["verify"]])
+def test_trace_without_packets_rejected_by_name(command, tmp_path, capsys):
+    # a 0-packet trace is legal to write, but there is nothing to simulate
+    trace, out = tmp_path / "empty.ntrc", tmp_path / "never.csv"
+    assert main(["gen-trace", "--zipf", "1.0", "--packets", "0", "--flows", "5",
+                 "--seed", "1", "--out", str(trace)]) == 0
+    assert len(read_trace(str(trace)).packets) == 0
+    capsys.readouterr()
+    run = ["--switches", "3", "--k", "4", "--slots", "64", "--out", str(out)] if command[0] == "run" else []
+    assert main([*command, "--trace", str(trace), *run]) == 1
+    assert capsys.readouterr().err == f"error: trace {trace} holds no packets\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, rc", [("-1", 1), (str(2**64), 1), (str(2**64 - 1), 0)])
+def test_seeds_must_fit_64_bits(seed, rc, tmp_path, capsys):
+    # derive_seed masks to 64 bits, so a seed outside them would alias one inside
+    out = tmp_path / "out.csv"
+    assert main(["run", "--switches", "3", "--zipf", "1.0", "--packets", "1000", "--flows", "100",
+                 "--k", "8", "--slots", "64", "--seeds", seed, "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == f"error: --seeds must be in [0, 2**64), not {seed}\n"
+        assert not out.exists()
+    else:
+        assert err == "" and out.read_text().splitlines()[1].startswith(f"{seed},")
 
 
 # Physical memory admits 10**8 packets (1.5 GiB), and the 1 GiB

@@ -20,12 +20,13 @@ CFG = TableConfig(d=2, s=16, seeds=(41, 42))
 
 
 def test_partition_sizes_balanced():
-    plan = partition(10, 3, seed=1)
-    sizes = sorted(len(plan.members(c)) for c in range(3))
-    assert sizes == [3, 3, 4]
-    assert sorted(sum((plan.members(c) for c in range(3)), [])) == list(range(10))
-    for c in range(3):
-        assert plan.representatives[c] == min(plan.members(c))
+    clusters = partition(10, 3, seed=1)
+    assert [len(members) for members in clusters] == [4, 3, 3]
+    assert sorted(sum(clusters, ())) == list(range(10))
+    assert all(list(members) == sorted(members) for members in clusters)
+    # the members the shuffle and size rule have always given
+    assert clusters == ((6, 7, 8, 9), (0, 3, 5), (1, 2, 4))
+    assert partition(16, 4, seed=5) == ((2, 3, 4, 13), (1, 6, 7, 9), (0, 10, 14, 15), (5, 8, 11, 12))
 
 
 def test_partition_deterministic_and_seeded():
@@ -44,9 +45,9 @@ def test_partition_validation():
 
 
 def test_partition_edge_shapes():
-    assert partition(4, 1, seed=1).members(0) == [0, 1, 2, 3]
+    assert partition(4, 1, seed=1) == ((0, 1, 2, 3),)
     singletons = partition(4, 4, seed=1)
-    assert sorted(singletons.representatives) == [0, 1, 2, 3]
+    assert sorted(singletons) == [(0,), (1,), (2,), (3,)]
 
 
 def test_message_count_forms():
@@ -98,7 +99,7 @@ def test_phase3_deliveries_are_pipeline_legal(monkeypatch):
         switches, plan,
         NetworkConfig(n=8, drop_probability=0.2, delivery_order=DeliveryOrder.RANDOM, seed=7),
     )
-    assert installing == set(range(8)) - set(plan.representatives)
+    assert installing == set(range(8)) - {members[0] for members in plan}
     assert sum(installs) == stats.phase3.delivered > 0
 
 

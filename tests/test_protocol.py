@@ -480,7 +480,7 @@ def test_empty_tables_complete_clustered_rounds(whole_network, monkeypatch):
     switches = ingested_switches(8, CFG, stream_seed=7)
     plan = partition(8, 3, seed=2)
     # a whole empty cluster, and one empty member of another cluster
-    empty = range(8) if whole_network else plan.members(0) + plan.members(1)[-1:]
+    empty = range(8) if whole_network else plan[0] + plan[1][-1:]
     empty_out(switches, empty)
     monkeypatch.setattr(
         cluster, "Network",

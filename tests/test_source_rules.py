@@ -63,3 +63,16 @@ def test_only_protocol_calls_consolidate_into():
         and "consolidate_into" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"protocol.py"}
+
+
+def test_bulk_engine_imports_no_object_model_driver():
+    # _kernels runs on flowtable, precision and _fork; the drivers import it
+    path = Path(nettopk.__file__).parent / "_kernels.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+    assert {"flowtable", "precision", "_fork"} <= names
+    assert not names & {"cluster", "protocol", "transport", "cli"}
