@@ -419,8 +419,15 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# glibc's initial M_MMAP_THRESHOLD, which _unmap_large_blocks fixes. Every
+# allocation of this many bytes or more is a fresh mmap, faulted in page by
+# page and unmapped when freed, so the block loops in workload keep their
+# per-block temporaries below it.
+MMAP_THRESHOLD = 1 << 17
+
+
 def _unmap_large_blocks() -> None:
-    """Fix glibc's mmap threshold at its initial 128 KiB.
+    """Fix glibc's mmap threshold at its initial MMAP_THRESHOLD.
 
     glibc raises the threshold to the size of each mmapped block freed, so
     once a trace-length array is freed, later ones come from the brk heap,
@@ -429,7 +436,7 @@ def _unmap_large_blocks() -> None:
     moved its peak RSS by 13 MiB. Other C libraries lack mallopt or ignore it.
     """
     try:
-        ctypes.CDLL(None).mallopt(-3, 1 << 17)  # M_MMAP_THRESHOLD
+        ctypes.CDLL(None).mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
     except (AttributeError, OSError, TypeError):
         pass
 

@@ -17,15 +17,28 @@ hash-assigned home switch that attracts each of its packets with
 probability `affinity` (the rest go uniformly to the other switches).
 affinity=1 gives every non-top-k flow a dedicated switch. The split makes
 two passes over the trace in blocks of SPLIT_BLOCK packets. The first
-chooses each packet's switch into a byte-a-packet array. The second orders
+chooses each packet's switch into a byte-a-packet array. It looks each
+packet up in a table indexed by flow id, built once per split from the
+trace's distinct ids, that holds each flow's home switch, or n for a top
+flow. While the largest id is below the packet count over
+TABLE_PACKETS_PER_ID the table takes at most half a byte a packet; a
+trace with larger ids hashes every packet instead and finds the top
+packets by binary search among the sorted top ids. The second pass orders
 each block stably by switch (a radix sort while the switch array is 8 or
 16 bits wide, up to 65536 switches) and copies its runs into streams
 allocated at their final lengths, so each stream stays in trace order. The
 random draws come in the order of a whole-trace choice, so the streams do
 not depend on the block size. The hops are the last draws, and none is
-drawn past the last packet that leaves home; at affinity 1 none is drawn
-at all. Besides the streams, the draws and then the switch array, a byte
-a packet each, are the only trace-sized arrays.
+drawn past the last packet that leaves home; at affinity 1 no stay coin
+and no hop is drawn at all. Besides the streams and the flow table, the
+draws and then the switch array, a byte a packet each, are the only
+trace-sized arrays.
+
+Both block loops, zipf_ranks' and split_stream's, keep each block's
+temporaries below cli.MMAP_THRESHOLD, so under the pinned allocator none
+is a fresh mapping faulted in on every block. Each uses the largest block
+of a multiple of 1024 elements that does so: fewer, larger blocks cost
+less per element.
 
 exact_topk is the ground-truth tally; ties break toward the larger flow ID,
 mirroring the consolidation tie rule. It reads Trace.tally, one cached
@@ -62,14 +75,21 @@ ZIPF_BYTES_PER_PACKET = 16
 ZIPF_BYTES_PER_FLOW = 16
 
 # Draws zipf_ranks looks up at a time, and the most guide steps it takes
-# before it finishes a block's remaining draws by binary search.
-ZIPF_BLOCK = 1 << 16
+# before it finishes a block's remaining draws by binary search. A block's
+# float64 and int64 temporaries (120 KiB) stay below cli.MMAP_THRESHOLD.
+ZIPF_BLOCK = 15 << 10
 GUIDE_STEPS = 8
 
-# Packets split_stream assigns or orders by switch at a time. Bounds its
-# per-packet temporaries, the int64 homes, hops and argsort indices among
-# them, which at trace length would set the process's peak memory.
-SPLIT_BLOCK = 1 << 16
+# Packets split_stream assigns or orders by switch at a time. Keeps its
+# per-packet temporaries, the int64 hops, take and argsort indices among
+# them, below cli.MMAP_THRESHOLD (120 KiB at most), so none is a fresh
+# mmap faulted in on every block.
+SPLIT_BLOCK = 15 << 10
+
+# split_stream looks flows up in a table indexed by flow id while the
+# largest id is below a trace's packets over this: at most a quarter of a
+# byte a packet below 256 switches, half a byte up to 65536.
+TABLE_PACKETS_PER_ID = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +215,22 @@ class SplitPlan:
         return int(_home_switches(np.array([flow_id], dtype=np.uint64), derive_seed(self.seed, 1), self.n_switches)[0])
 
 
+def _flow_table(ids: np.ndarray, top_ids: np.ndarray, home_seed: int, n: int, num_packets: int) -> np.ndarray | None:
+    """Each flow's home switch, indexed by flow id, with n for a top flow.
+
+    None when the largest id reaches num_packets // TABLE_PACKETS_PER_ID:
+    the table then would no longer be small next to the trace.
+    """
+    if not len(ids) or ids[-1] >= num_packets // TABLE_PACKETS_PER_ID:
+        return None
+    table = np.zeros(int(ids[-1]) + 1, dtype=np.min_scalar_type(n))
+    for start in range(0, len(ids), SPLIT_BLOCK):
+        block = ids[start : start + SPLIT_BLOCK]
+        table[block] = _home_switches(block, home_seed, n)
+    table[top_ids] = n
+    return table
+
+
 def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     """Partition a trace into per-switch streams, preserving relative order."""
     if plan.k > trace.num_flows:
@@ -204,7 +240,7 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     if n == 1:
         return [packets.copy()]
     top = exact_topk(trace, plan.k)
-    top_ids = np.array([e.id for e in top], dtype=np.uint32)
+    top_ids = np.sort(np.array([e.id for e in top], dtype=np.uint32))
     rng = np.random.default_rng(derive_seed(plan.seed, 2))
     # the smallest unsigned dtype that holds n-1: 8 or 16 bits lets the
     # stable argsort below run as a radix sort
@@ -218,14 +254,19 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     for start in range(0, num_top, SPLIT_BLOCK):
         top_switch[start : start + SPLIT_BLOCK] = rng.integers(0, n, min(SPLIT_BLOCK, num_top - start))
     m = len(packets) - num_top
-    stay = np.empty(m, dtype=bool)
-    for start in range(0, m, SPLIT_BLOCK):
-        stay[start : start + SPLIT_BLOCK] = rng.random(min(SPLIT_BLOCK, m - start)) < plan.affinity
     # the hops are the generator's last draws, so none is drawn past the
-    # last packet that leaves home: hop_end is one past it, 0 if none does
-    last_leave = int(np.argmin(stay[::-1])) if m else 0
-    hop_end = 0 if m == 0 or stay[m - 1 - last_leave] else m - last_leave
+    # last packet that leaves home: hop_end is one past it, 0 if none does.
+    # At affinity 1 every coin is True, so none is drawn
+    stay = None
+    hop_end = 0
+    if m and plan.affinity < 1.0:
+        stay = np.empty(m, dtype=bool)
+        for start in range(0, m, SPLIT_BLOCK):
+            stay[start : start + SPLIT_BLOCK] = rng.random(min(SPLIT_BLOCK, m - start)) < plan.affinity
+        last_leave = int(np.argmin(stay[::-1]))
+        hop_end = 0 if stay[m - 1 - last_leave] else m - last_leave
     home_seed = derive_seed(plan.seed, 1)
+    table = _flow_table(trace.tally[0], top_ids, home_seed, n, len(packets))
     # first pass: every packet's switch, a byte a packet that outlives the draws
     switch = np.empty(len(packets), dtype=dtype)
     sizes = np.zeros(n, dtype=np.int64)
@@ -234,9 +275,14 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
         block = packets[start : start + SPLIT_BLOCK]
         # every packet starts at its flow's home; a top flow's packets then
         # take their drawn switches
+        if table is not None:
+            home = table.take(block)
+            top_mask = home == n
+        else:
+            home = _home_switches(block, home_seed, n)
+            top_mask = top_ids.take(np.searchsorted(top_ids, block), mode="clip") == block
         block_switch = switch[start : start + SPLIT_BLOCK]
-        block_switch[:] = _home_switches(block, home_seed, n)
-        top_mask = np.isin(block, top_ids)
+        block_switch[:] = home
         top_at = np.flatnonzero(top_mask)
         top_end = top_done + len(top_at)
         block_switch[top_at] = top_switch[top_done:top_end]
@@ -254,7 +300,7 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
             block_switch[at[leaves]] = hop[leaves]
         rest_done = rest_end
         sizes += np.bincount(block_switch, minlength=n)
-    del top_switch, stay
+    del top_switch, stay, table
     # second pass: each block, ordered stably by switch, is cut into the
     # streams, which are allocated at their final lengths
     streams = [np.empty(size, dtype=packets.dtype) for size in sizes.tolist()]
@@ -262,7 +308,7 @@ def split_stream(trace: Trace, plan: SplitPlan) -> list[np.ndarray]:
     for start in range(0, len(packets), SPLIT_BLOCK):
         block_switch = switch[start : start + SPLIT_BLOCK]
         order = np.argsort(block_switch, kind="stable")
-        ordered = packets[start : start + SPLIT_BLOCK][order]
+        ordered = packets[start : start + SPLIT_BLOCK].take(order)
         counts = np.bincount(block_switch, minlength=n)
         cut = 0
         for i in np.flatnonzero(counts).tolist():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nettopk import workload
+from nettopk.cli import MMAP_THRESHOLD
 from nettopk.flowtable import FlowEntry
 from nettopk.precision import derive_seed
 from nettopk.workload import (
@@ -274,7 +275,9 @@ def _split_reference(trace, plan):
     return [packets[switch == i] for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 257])  # 257 switches need a uint16 switch array
+# 257 switches need a uint16 switch array; 256 fit a uint8 one, but the flow
+# table needs 16 bits to mark a top flow with 256
+@pytest.mark.parametrize("n", [2, 3, 256, 257])
 @pytest.mark.parametrize("affinity", [0.0, 0.5, 1.0])
 def test_split_matches_one_pass_per_switch(n, affinity):
     tr = gen_zipf(1.0, 3 * SPLIT_BLOCK + 1000, 5000, seed=n)
@@ -327,6 +330,72 @@ def test_split_does_not_depend_on_the_block_size(block, affinity, monkeypatch):
     plan = SplitPlan(k=8, n_switches=5, affinity=affinity, seed=23)
     for got, want in zip(split_stream(tr, plan), _split_reference(tr, plan), strict=True):
         assert np.array_equal(got, want)
+
+
+def _count_hashed(monkeypatch):
+    """The ids split_stream hashes to home switches, counted as it runs."""
+    hashed = []
+    home_switches = workload._home_switches
+
+    def counted(ids, seed, n):
+        hashed.append(len(ids))
+        return home_switches(ids, seed, n)
+
+    monkeypatch.setattr(workload, "_home_switches", counted)
+    return hashed
+
+
+def _large_id_traces():
+    # a gen_zipf trace stretched by a monotone map, which keeps its top-k
+    # order, and a hand-built one with the largest uint32 id as its top flow
+    # and the next as one of its smallest
+    stretched = gen_zipf(1.0, 3 * SPLIT_BLOCK + 1000, 5000, seed=31)
+    ids = np.array([*range(1, 41), 0xFFFFFFFE, 0xFFFFFFFF], dtype=np.uint32)
+    counts = [*range(41, 1, -1), 3, 500]
+    rng = np.random.default_rng(32)
+    return {
+        "stretched": Trace(packets=stretched.packets * np.uint32(800_000), num_flows=5000),
+        "max-id": Trace(packets=rng.permutation(np.repeat(ids, counts)), num_flows=len(ids)),
+    }
+
+
+@pytest.mark.parametrize("name", ["stretched", "max-id"])
+@pytest.mark.parametrize("n", [2, 257])
+@pytest.mark.parametrize("affinity", [0.0, 0.5, 1.0])
+def test_split_with_large_ids_hashes_each_packet(name, n, affinity, monkeypatch):
+    # ids far above the trace length get no flow table: every packet is
+    # hashed, and the top packets are found among the sorted top ids
+    tr = _large_id_traces()[name]
+    plan = SplitPlan(k=8, n_switches=n, affinity=affinity, seed=19)
+    hashed = _count_hashed(monkeypatch)
+    streams = split_stream(tr, plan)
+    assert sum(hashed) == len(tr.packets)
+    for got, want in zip(streams, _split_reference(tr, plan), strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("largest", [999, 1000])
+def test_split_flow_table_bound(largest, monkeypatch):
+    # 4000 packets: a flow table while the largest id is below 4000 // 4,
+    # which hashes each distinct id once; at the bound, a hash per packet
+    assert 4000 // workload.TABLE_PACKETS_PER_ID == 1000
+    packets = gen_zipf(1.0, 4000, 500, seed=33).packets.copy()
+    packets[-1] = largest
+    tr = Trace(packets=packets, num_flows=largest)
+    plan = SplitPlan(k=16, n_switches=5, affinity=0.5, seed=21)
+    hashed = _count_hashed(monkeypatch)
+    streams = split_stream(tr, plan)
+    assert sum(hashed) == (len(tr.tally[0]) if largest < 1000 else len(packets))
+    for got, want in zip(streams, _split_reference(tr, plan), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_block_temporaries_stay_below_the_mmap_threshold():
+    # a block's widest temporaries are int64 indices and float64 draws; a
+    # request of exactly the threshold is mapped too, as glibc adds its
+    # chunk header to it
+    assert SPLIT_BLOCK * 8 < MMAP_THRESHOLD
+    assert ZIPF_BLOCK * 8 < MMAP_THRESHOLD
 
 
 def test_split_peak_memory_per_packet(monkeypatch):
