@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_map
-from .flowtable import (FieldOrder, MultiVectorTable, TableConfig, check_gtopk_rows,
-                        check_identical_rows, check_sum_rows, vector_hash_indices)
+from .flowtable import (MultiVectorTable, TableConfig, check_gtopk_rows, check_identical_rows,
+                        check_sum_rows, vector_hash_indices)
 from .precision import LocalTopKState, ingest
 
 # Nothing is jitted; perfbench/run.py still records this in its environment.
@@ -64,7 +64,7 @@ def ingest_arrays(ids, counts, config: TableConfig, rng_state, packets):
     shape = (config.d, config.s)
     if ids.shape != shape or counts.shape != shape:
         raise ValueError(f"rows shaped {ids.shape} and {counts.shape}, table is {shape}")
-    table = MultiVectorTable(config, FieldOrder.ID_FIRST)
+    table = MultiVectorTable(config)
     table.ids = ids.tolist()
     table.counts = counts.tolist()
     state = LocalTopKState(table, int(rng_state))

@@ -5,9 +5,10 @@ engines, and metric computation into seeded, reproducible experiments
 that emit CSV rows (one per seed plus an AVG row).
 
 Two interchangeable engines exist: the object model with a simulated
-transport (required for loss and delivery-order studies) and the lossless
-bulk engine in _kernels. Both produce identical tables and message counts
-for identical configs.
+transport and the bulk engine in _kernels. Both produce identical tables
+and delivered message counts for identical configs, since loss and
+delivery order change neither; only the object model counts drops, so
+only it takes --include-drops with --drop.
 
 A recorded trace (--trace) is read once per experiment and shared by
 every seed.
@@ -106,8 +107,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "reference", "arrays"):
             raise ValueError("engine must be auto, reference, or arrays")
-        if self.engine == "arrays" and self.drop_probability > 0.0:
-            raise ValueError("the arrays engine is lossless only")
+        if self.engine == "arrays" and self.include_drops and self.drop_probability > 0.0:
+            raise ValueError("--include-drops needs --engine reference: the arrays engine counts no drops")
         if self.n_switches > MAX_SWITCHES:
             raise ValueError(f"--switches must be at most {MAX_SWITCHES}: switch ids are 16 bits")
         # before TableConfig, which builds a d-long tuple

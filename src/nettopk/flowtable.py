@@ -16,8 +16,9 @@ agreement and identical tables. A message names the slot or the switch.
 
 The AccessLog mechanizes the feed-forward constraint of a switch pipeline:
 stages (vectors) are traversed in order, and within a stage the two fields
-live in distinct ALUs whose order is fixed per table. A recorded access
-sequence that would require moving backwards is rejected by verify().
+live in distinct ALUs, one reached before the other. A recorded access
+sequence that would require moving backwards is rejected by verify(first),
+given the field the operation's pipeline reaches first.
 Operations are written once, on a table's rows; logged_rows gives them
 views of the rows that record each slot access to a log.
 """
@@ -46,13 +47,6 @@ def mix32(x: int) -> int:
     x = (x * 0xC2B2AE35) & _MASK32
     x ^= x >> 16
     return x
-
-
-class FieldOrder(Enum):
-    """Which field of a slot the pipeline reaches first."""
-
-    ID_FIRST = "id_first"
-    COUNT_FIRST = "count_first"
 
 
 class Field(Enum):
@@ -243,10 +237,10 @@ RECIRCULATE = "recirculate"
 class AccessLog:
     """Ordered record of slot-field accesses made by one pipeline operation.
 
-    verify(field_order) checks that accesses only move forward: vector
-    indices never decrease, and within one vector the first-order field is
-    never touched after the second-order field. recirculate() marks the
-    start of a fresh pass, resetting the position.
+    verify(first) checks that accesses only move forward: vector indices
+    never decrease, and within one vector the field the pipeline reaches
+    first is never touched after the other. recirculate() marks the start
+    of a fresh pass, resetting the position.
     """
 
     records: list = field(default_factory=list)
@@ -261,9 +255,8 @@ class AccessLog:
     def recirculations(self) -> int:
         return sum(1 for r in self.records if r is RECIRCULATE)
 
-    def verify(self, field_order: FieldOrder) -> None:
+    def verify(self, first: Field) -> None:
         """Raise PipelineOrderError if the log is not a legal forward pass."""
-        first = Field.ID if field_order is FieldOrder.ID_FIRST else Field.COUNT
         pos = (-1, -1)
         for rec in self.records:
             if rec is RECIRCULATE:
@@ -314,19 +307,18 @@ class MultiVectorTable:
     ids[i][j] and counts[i][j] are slot j of vector i. Operations work on
     these rows, through logged_rows when they record an AccessLog to prove
     they respect pipeline order. Placement at the hash index is the
-    caller's contract, checkable after the fact with check_placement().
+    caller's contract, checkable after the fact with check_placement_rows.
     """
 
-    __slots__ = ("config", "field_order", "ids", "counts")
+    __slots__ = ("config", "ids", "counts")
 
-    def __init__(self, config: TableConfig, field_order: FieldOrder) -> None:
+    def __init__(self, config: TableConfig) -> None:
         self.config = config
-        self.field_order = field_order
         self.ids = [[EMPTY_ID] * config.s for _ in range(config.d)]
         self.counts = [[EMPTY_COUNT] * config.s for _ in range(config.d)]
 
     def set_entry(self, vector: int, index: int, entry: FlowEntry) -> None:
-        """Place an entry directly (test and copy plumbing, not a pipeline op)."""
+        """Place an entry directly (test plumbing, not a pipeline op)."""
         self.ids[vector][index] = entry.id
         self.counts[vector][index] = entry.count
 
@@ -342,17 +334,13 @@ class MultiVectorTable:
     def occupancy(self) -> int:
         return sum(1 for _ in self.entries())
 
-    def check_placement(self) -> None:
-        """Raise InvariantError unless check_placement_rows holds."""
-        check_placement_rows(self.ids, self.counts, self.config)
-
     def equals(self, other: "MultiVectorTable") -> bool:
         return self.ids == other.ids and self.counts == other.counts
 
 
-def snapshot_copy(src: MultiVectorTable, field_order: FieldOrder | None = None) -> MultiVectorTable:
-    """Deep, isolated copy of src; optionally with a different field order."""
-    out = MultiVectorTable(src.config, field_order or src.field_order)
+def snapshot_copy(src: MultiVectorTable) -> MultiVectorTable:
+    """Deep, isolated copy of src."""
+    out = MultiVectorTable(src.config)
     out.ids = [row[:] for row in src.ids]
     out.counts = [row[:] for row in src.counts]
     return out

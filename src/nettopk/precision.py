@@ -30,7 +30,6 @@ import numpy as np
 from .flowtable import (
     EMPTY_ID,
     AccessLog,
-    FieldOrder,
     MultiVectorTable,
     TableConfig,
     hash_index,
@@ -111,7 +110,7 @@ class LocalTopKState:
 
     @classmethod
     def create(cls, config: TableConfig, rng_seed: int) -> "LocalTopKState":
-        return cls(table=MultiVectorTable(config, FieldOrder.ID_FIRST), rng_state=rng_seed & _MASK64)
+        return cls(table=MultiVectorTable(config), rng_state=rng_seed & _MASK64)
 
 
 def process_packet(state: LocalTopKState, flow_id: int, log: AccessLog | None = None) -> None:

@@ -41,7 +41,6 @@ from enum import Enum, IntEnum
 from .flowtable import (
     EMPTY_ID,
     AccessLog,
-    FieldOrder,
     FlowEntry,
     InvariantError,
     MultiVectorTable,
@@ -129,8 +128,8 @@ class SwitchState:
         self.config = config
         self.l_topk = LocalTopKState.create(config, rng_seed)
         self._freeze(self.l_topk.table)
-        self.g_topk = MultiVectorTable(config, FieldOrder.COUNT_FIRST)
-        self.query = MultiVectorTable(config, FieldOrder.ID_FIRST)
+        self.g_topk = MultiVectorTable(config)
+        self.query = MultiVectorTable(config)
         # slot indices of ids; a cycle or an install shares one map of the
         # ids its messages carry among the participants until they end it
         self.slots = SlotMap(config)
@@ -143,7 +142,7 @@ class SwitchState:
     def _freeze(self, src: MultiVectorTable) -> None:
         """Copy src into Snapshot and its counts into Sum, a counter column
         over the Snapshot's id rows, which it shares."""
-        self.snapshot = snapshot_copy(src, FieldOrder.ID_FIRST)
+        self.snapshot = snapshot_copy(src)
         self.sum = copy(self.snapshot)
         self.sum.counts = [row[:] for row in src.counts]
 
@@ -151,14 +150,14 @@ class SwitchState:
         """Freeze the local table (or an explicit source) and open aggregation."""
         self._require(RoundPhase.IDLE, "begin_cycle")
         self._freeze(source if source is not None else self.l_topk.table)
-        self.g_topk = MultiVectorTable(self.config, FieldOrder.COUNT_FIRST)
+        self.g_topk = MultiVectorTable(self.config)
         self.phase = RoundPhase.AGGREGATION
 
     def begin_install(self, slots: SlotMap) -> None:
         """Empty G-TopK and open consolidation alone, to rebuild a table
         whose entries arrive over the transport; slots maps their ids."""
         self._require(RoundPhase.IDLE, "begin_install")
-        self.g_topk = MultiVectorTable(self.config, FieldOrder.COUNT_FIRST)
+        self.g_topk = MultiVectorTable(self.config)
         self.slots = slots
         self.phase = RoundPhase.CONSOLIDATION
 
@@ -191,7 +190,7 @@ class SwitchState:
     def end_consolidation(self) -> None:
         """Publish G-TopK as Query and drop the cycle's or install's SlotMap."""
         self._require(RoundPhase.CONSOLIDATION, "end_consolidation")
-        self.query = snapshot_copy(self.g_topk, FieldOrder.ID_FIRST)
+        self.query = snapshot_copy(self.g_topk)
         self.slots = SlotMap(self.config)
         self.phase = RoundPhase.IDLE
 
@@ -223,7 +222,8 @@ def run_rounds(switches, net) -> CycleStats:
     from an explicit source. Every id a message or a consolidation walk
     carries sits in some participant's Snapshot, so one SlotMap over the
     Snapshots, shared by all participants, hashes each id once. Each
-    switch drops it when it ends consolidation.
+    switch drops it when it ends consolidation. The network's counts are
+    the cycle's: a used network raises at its first broadcast.
     """
     sws = {sw.switch_id: sw for sw in switches}
     if set(sws) != set(net.participants):
@@ -231,8 +231,6 @@ def run_rounds(switches, net) -> CycleStats:
     slots = SlotMap(next(iter(sws.values())).config, [sw.snapshot for sw in sws.values()])
     for sw in sws.values():
         sw.slots = slots
-    base_delivered = net.delivered_count
-    base_dropped = net.dropped_count
     handlers = {}
     for sid, sw in sws.items():
         handlers[sid, Round.AGG] = sw.handle_aggregation_packet
@@ -245,10 +243,7 @@ def run_rounds(switches, net) -> CycleStats:
     for sw in sws.values():
         if sw.phase is not RoundPhase.IDLE:
             raise InvariantError(f"switch {sw.switch_id} stuck in {sw.phase.value}")
-    return CycleStats(
-        delivered=net.delivered_count - base_delivered,
-        dropped=net.dropped_count - base_dropped,
-    )
+    return CycleStats(delivered=net.delivered_count, dropped=net.dropped_count)
 
 
 def _advance(sws, net, todo) -> None:

@@ -211,9 +211,6 @@ class SplitPlan:
         if self.n_switches < 1:
             raise ValueError("need at least one switch")
 
-    def home(self, flow_id: int) -> int:
-        return int(_home_switches(np.array([flow_id], dtype=np.uint64), derive_seed(self.seed, 1), self.n_switches)[0])
-
 
 def _flow_table(ids: np.ndarray, top_ids: np.ndarray, home_seed: int, n: int, num_packets: int) -> np.ndarray | None:
     """Each flow's home switch, indexed by flow id, with n for a top flow.

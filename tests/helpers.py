@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from nettopk.flowtable import vector_hash_indices
-from nettopk.flowtable import FieldOrder, FlowEntry, MultiVectorTable, TableConfig
+from nettopk.flowtable import FlowEntry, MultiVectorTable, TableConfig
 from nettopk.precision import ingest
 from nettopk.protocol import SwitchState
 from nettopk.workload import gen_zipf
@@ -52,9 +52,8 @@ def full_table(s: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return ids, counts
 
 
-def table_from_arrays(config: TableConfig, ids: np.ndarray, counts: np.ndarray,
-                      field_order: FieldOrder = FieldOrder.ID_FIRST) -> MultiVectorTable:
-    t = MultiVectorTable(config, field_order)
+def table_from_arrays(config: TableConfig, ids: np.ndarray, counts: np.ndarray) -> MultiVectorTable:
+    t = MultiVectorTable(config)
     for i in range(config.d):
         for j in range(config.s):
             if ids[i][j]:

@@ -27,7 +27,6 @@ from nettopk.cluster import (
 from nettopk.flowtable import (
     AccessLog,
     Field,
-    FieldOrder,
     FlowEntry,
     Mode,
     MultiVectorTable,
@@ -186,7 +185,7 @@ def test_criterion_3_two_switch_golden_outcome():
 
     # an arriving pair equal to the stored one terminates after two reads
     cfg = TableConfig(d=1, s=4, seeds=(GOLDEN_SEED,))
-    g = MultiVectorTable(cfg, FieldOrder.COUNT_FIRST)
+    g = MultiVectorTable(cfg)
     g.set_entry(0, hash_index(cfg, 0, 1), FlowEntry(1, 2300))
     log = AccessLog()
     consolidate_into(g, 1, 2300, log)

@@ -73,8 +73,8 @@ def test_config_validation():
         small_config(cycles=0)
     with pytest.raises(ValueError):
         small_config(engine="gpu")
-    with pytest.raises(ValueError):
-        small_config(engine="arrays", drop_probability=0.1)
+    with pytest.raises(ValueError, match="--include-drops"):
+        small_config(engine="arrays", drop_probability=0.1, include_drops=True)
     with pytest.raises(ValueError):
         small_config(s=1000)  # s not a power of two
     # flags the run would use only after making or reading the trace, or never
@@ -137,12 +137,14 @@ def test_engines_agree_across_cycles():
     st.integers(1, 2**16),
 )
 def test_engines_agree_over_whole_runs(shape, d, s, cycles, affinity, order, drop, seed):
-    # a reference run, lossy or not, against a lossless arrays run of the
-    # same config: loss changes only drops, and the engines agree on the
-    # split, every cycle's ingest, the clusters and the query table
+    # a reference run, lossy or not, against an arrays run of the same
+    # config, which simulates no loss: loss changes only drops, and the
+    # engines agree on the split, every cycle's ingest, the clusters, the
+    # query table and the CSV bytes
     n, clusters = shape
     base = dict(n_switches=n, clusters=clusters, d=d, s=s, k=8, seeds=(seed,), cycles=cycles,
-                affinity=affinity, zipf_a=1.0, num_packets=5000, num_flows=500)
+                affinity=affinity, zipf_a=1.0, num_packets=5000, num_flows=500,
+                drop_probability=drop, delivery_order=order)
     reported = []
 
     def recording_recall(ids, truth, k):
@@ -151,9 +153,10 @@ def test_engines_agree_over_whole_runs(shape, d, s, cycles, affinity, order, dro
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "recall_at_k", recording_recall)
-        ref = run_seed(ExperimentConfig(**base, drop_probability=drop, delivery_order=order,
-                                        engine="reference"), seed)
-        arr = run_seed(ExperimentConfig(**base, engine="arrays"), seed)
+        ref_report = run_experiment(ExperimentConfig(**base, engine="reference"))
+        arr_report = run_experiment(ExperimentConfig(**base, engine="arrays"))
+    assert ref_report.to_csv() == arr_report.to_csv()
+    (ref,), (arr,) = ref_report.rows, arr_report.rows
     assert (ref.recall, ref.messages, ref.recirculations, ref.delivered) == (
         arr.recall, arr.messages, arr.recirculations, arr.delivered
     )

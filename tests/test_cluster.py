@@ -12,7 +12,7 @@ from nettopk.cluster import (
     partition,
     run_clustered,
 )
-from nettopk.flowtable import AccessLog, FieldOrder, TableConfig
+from nettopk.flowtable import AccessLog, Field, TableConfig
 from nettopk.protocol import InvariantError, PhaseError, SwitchState, check_cycle_invariants, run_cycle
 from nettopk.transport import DeliveryOrder, Network, NetworkConfig
 
@@ -88,7 +88,7 @@ def test_phase3_deliveries_are_pipeline_legal(monkeypatch):
         log = AccessLog()
         handle(sw, sender, entry, log)
         assert log.records and log.recirculations == 0
-        log.verify(FieldOrder.COUNT_FIRST)
+        log.verify(Field.COUNT)
         installs.append(sw.switch_id in installing)
 
     monkeypatch.setattr(SwitchState, "begin_install", tracked_begin_install)

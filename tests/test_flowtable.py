@@ -7,12 +7,12 @@ from nettopk.flowtable import (
     EMPTY_ID,
     AccessLog,
     Field,
-    FieldOrder,
     FlowEntry,
     Mode,
     MultiVectorTable,
     PipelineOrderError,
     TableConfig,
+    check_placement_rows,
     hash_index,
     logged_rows,
     memory_bytes,
@@ -84,7 +84,7 @@ def test_memory_bytes():
 
 
 def test_entries_vector_major_order():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    t = MultiVectorTable(CFG2)
     t.set_entry(1, 3, FlowEntry(9, 90))
     t.set_entry(0, 5, FlowEntry(7, 70))
     t.set_entry(0, 2, FlowEntry(8, 80))
@@ -93,47 +93,39 @@ def test_entries_vector_major_order():
 
 
 def test_snapshot_copy_isolated():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    t = MultiVectorTable(CFG2)
     t.set_entry(0, 1, FlowEntry(3, 30))
     c = snapshot_copy(t)
     c.set_entry(0, 1, FlowEntry(4, 40))
     c.set_entry(1, 2, FlowEntry(5, 50))
     assert t.ids[0][1] == 3
     assert t.occupancy() == 1
-    assert c.field_order is FieldOrder.ID_FIRST
-
-
-def test_snapshot_copy_field_order_override():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
-    c = snapshot_copy(t, FieldOrder.COUNT_FIRST)
-    assert c.field_order is FieldOrder.COUNT_FIRST
-    assert c.equals(t)
 
 
 def test_equals():
-    a = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
-    b = MultiVectorTable(CFG2, FieldOrder.COUNT_FIRST)
-    assert a.equals(b)  # contents only, not field order
+    a = MultiVectorTable(CFG2)
+    b = MultiVectorTable(CFG2)
+    assert a.equals(b)
     b.set_entry(0, 0, FlowEntry(1, 1))
     assert not a.equals(b)
 
 
 def test_check_placement():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    t = MultiVectorTable(CFG2)
     fid = 11
     t.set_entry(0, hash_index(CFG2, 0, fid), FlowEntry(fid, 5))
-    t.check_placement()
+    check_placement_rows(t.ids, t.counts, t.config)
     wrong = (hash_index(CFG2, 0, fid) + 1) % CFG2.s
     t.set_entry(0, wrong, FlowEntry(fid, 5))
     with pytest.raises(AssertionError):
-        t.check_placement()
+        check_placement_rows(t.ids, t.counts, t.config)
 
 
 def test_check_placement_rejects_counted_empty_slot():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    t = MultiVectorTable(CFG2)
     t.set_entry(0, 0, FlowEntry(EMPTY_ID, 9))
     with pytest.raises(AssertionError):
-        t.check_placement()
+        check_placement_rows(t.ids, t.counts, t.config)
 
 
 def test_access_log_accepts_forward_pass():
@@ -143,7 +135,7 @@ def test_access_log_accepts_forward_pass():
     log.record(0, Field.COUNT, Mode.WRITE)
     log.record(1, Field.ID, Mode.READ)
     log.record(1, Field.COUNT, Mode.WRITE)
-    log.verify(FieldOrder.ID_FIRST)
+    log.verify(Field.ID)
 
 
 def test_access_log_rejects_backwards_vector():
@@ -151,7 +143,7 @@ def test_access_log_rejects_backwards_vector():
     log.record(1, Field.ID, Mode.READ)
     log.record(0, Field.ID, Mode.READ)
     with pytest.raises(PipelineOrderError):
-        log.verify(FieldOrder.ID_FIRST)
+        log.verify(Field.ID)
 
 
 def test_access_log_rejects_field_backtrack():
@@ -159,18 +151,18 @@ def test_access_log_rejects_field_backtrack():
     log.record(0, Field.COUNT, Mode.READ)
     log.record(0, Field.ID, Mode.WRITE)
     with pytest.raises(PipelineOrderError):
-        log.verify(FieldOrder.ID_FIRST)
+        log.verify(Field.ID)
     # the same sequence is legal when counts come first
-    log.verify(FieldOrder.COUNT_FIRST)
+    log.verify(Field.COUNT)
 
 
-def test_access_log_field_order_symmetry():
+def test_access_log_first_field_symmetry():
     log = AccessLog()
     log.record(0, Field.ID, Mode.READ)
     log.record(0, Field.COUNT, Mode.READ)
-    log.verify(FieldOrder.ID_FIRST)
+    log.verify(Field.ID)
     with pytest.raises(PipelineOrderError):
-        log.verify(FieldOrder.COUNT_FIRST)
+        log.verify(Field.COUNT)
 
 
 def test_access_log_recirculate_resets_position():
@@ -178,7 +170,7 @@ def test_access_log_recirculate_resets_position():
     log.record(1, Field.COUNT, Mode.READ)
     log.recirculate()
     log.record(0, Field.ID, Mode.WRITE)
-    log.verify(FieldOrder.ID_FIRST)
+    log.verify(Field.ID)
     assert log.recirculations == 1
 
 
@@ -187,12 +179,12 @@ def test_access_log_same_stage_repeats_allowed():
     log.record(0, Field.COUNT, Mode.READ)
     log.record(0, Field.COUNT, Mode.WRITE)
     log.record(0, Field.COUNT, Mode.READ)
-    log.verify(FieldOrder.ID_FIRST)
-    log.verify(FieldOrder.COUNT_FIRST)
+    log.verify(Field.ID)
+    log.verify(Field.COUNT)
 
 
 def test_logged_rows_record_to_log():
-    t = MultiVectorTable(CFG2, FieldOrder.ID_FIRST)
+    t = MultiVectorTable(CFG2)
     assert logged_rows(t) == (t.ids, t.counts)
     log = AccessLog()
     ids, counts = logged_rows(t, log)

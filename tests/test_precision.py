@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import nettopk.precision as precision
 from nettopk.flowtable import (
     AccessLog,
-    FieldOrder,
+    Field,
     FlowEntry,
     TableConfig,
+    check_placement_rows,
     hash_index,
 )
 from nettopk.precision import (
@@ -150,7 +151,7 @@ def test_no_flow_occupies_two_vectors():
             if fid:
                 assert fid not in seen
                 seen.add(fid)
-    st.table.check_placement()
+    check_placement_rows(st.table.ids, st.table.counts, st.table.config)
 
 
 def test_ingest_deterministic():
@@ -181,12 +182,12 @@ def test_packet_access_order_is_pipeline_legal():
     for _ in range(2):  # insertion path, then match path
         log = AccessLog()
         process_packet(st, 10, log)
-        log.verify(FieldOrder.ID_FIRST)
+        log.verify(Field.ID)
     st.table.set_entry(0, hash_index(CFG, 0, 77), FlowEntry(5, 1))
     st.table.set_entry(1, hash_index(CFG, 1, 77), FlowEntry(6, 1))
     log = AccessLog()
     process_packet(st, 77, log)  # replacement or skip, both recorded
-    log.verify(FieldOrder.ID_FIRST)
+    log.verify(Field.ID)
 
 
 def test_replacement_logs_one_recirculation():

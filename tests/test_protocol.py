@@ -13,7 +13,6 @@ from nettopk.cluster import partition, run_clustered
 from nettopk.flowtable import (
     AccessLog,
     Field,
-    FieldOrder,
     FlowEntry,
     Mode,
     MultiVectorTable,
@@ -42,7 +41,7 @@ CFG = TableConfig(d=2, s=16, seeds=(31, 77))
 
 
 def fresh_gtopk(config=CFG):
-    return MultiVectorTable(config, FieldOrder.COUNT_FIRST)
+    return MultiVectorTable(config)
 
 
 def place(table, vector, fid, count):
@@ -119,7 +118,7 @@ def test_walk_smaller_count_continues_untouched():
 
 def test_walk_discards_pair_past_last_vector():
     cfg = TableConfig(d=1, s=8, seeds=(3,))
-    g = MultiVectorTable(cfg, FieldOrder.COUNT_FIRST)
+    g = MultiVectorTable(cfg)
     fid_in, fid_res = 2, 6
     j = hash_index(cfg, 0, fid_in)
     g.set_entry(0, j, FlowEntry(fid_res, 50))
@@ -140,7 +139,7 @@ def test_walk_eviction_access_order_is_count_first():
         (0, Field.ID, Mode.READ),
         (0, Field.ID, Mode.WRITE),
     ]
-    log.verify(FieldOrder.COUNT_FIRST)
+    log.verify(Field.COUNT)
     assert log.recirculations == 0
 
 
@@ -150,7 +149,7 @@ def test_walk_chain_of_evictions_is_single_pass():
     place(g, 1, 6, 40)
     log = AccessLog()
     consolidate_into(g, 9, 300, log)
-    log.verify(FieldOrder.COUNT_FIRST)
+    log.verify(Field.COUNT)
     assert log.recirculations == 0
 
 
@@ -206,11 +205,10 @@ def test_begin_cycle_freezes_local_table():
 
 def test_begin_cycle_with_explicit_source():
     sw = SwitchState(0, CFG, rng_seed=1)
-    src = MultiVectorTable(CFG, FieldOrder.COUNT_FIRST)
+    src = MultiVectorTable(CFG)
     place(src, 0, 6, 11)
     sw.begin_cycle(source=src)
     assert sorted_entries(sw.snapshot) == [FlowEntry(6, 11)]
-    assert sw.snapshot.field_order is FieldOrder.ID_FIRST
 
 
 def test_aggregation_adds_on_matching_id():
@@ -269,12 +267,12 @@ def test_handler_access_logs_are_pipeline_legal():
     for entry in (FlowEntry(1, 1300), FlowEntry(2, 50)):
         log = AccessLog()
         sw.handle_aggregation_packet(1, entry, log)
-        log.verify(FieldOrder.ID_FIRST)
+        log.verify(Field.ID)
         assert log.recirculations == 0
     sw.end_aggregation()
     clog = AccessLog()
     sw.handle_consolidation_packet(1, FlowEntry(6, 2000), clog)
-    clog.verify(FieldOrder.COUNT_FIRST)
+    clog.verify(Field.COUNT)
     assert clog.recirculations == 0
 
 
@@ -415,7 +413,7 @@ def test_replaying_a_consolidated_table_reproduces_it(stream_seed):
     switches = ingested_switches(3, CFG, stream_seed=stream_seed, packets_per_switch=400)
     run_lossless_cycle(switches)
     final = switches[0].g_topk
-    rebuilt = MultiVectorTable(CFG, FieldOrder.COUNT_FIRST)
+    rebuilt = MultiVectorTable(CFG)
     for e in final.entries():
         consolidate_into(rebuilt, e.id, e.count)
     assert rebuilt.equals(final)
@@ -457,7 +455,7 @@ def with_bounded_completion_checks(net, sws):
 
 def empty_out(switches, ids):
     for i in ids:
-        switches[i].l_topk.table = MultiVectorTable(CFG, FieldOrder.ID_FIRST)
+        switches[i].l_topk.table = MultiVectorTable(CFG)
 
 
 @pytest.mark.parametrize("order", list(DeliveryOrder))
@@ -529,6 +527,20 @@ def test_multiple_cycles_back_to_back():
     run_lossless_cycle(switches, seed=2)
     check_cycle_invariants(switches)
     assert all(sw.phase is RoundPhase.IDLE for sw in switches)
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.25])
+@pytest.mark.parametrize("order", list(DeliveryOrder))
+def test_cycle_stats_are_the_networks_counts(drop, order):
+    # a network carries one cycle: a second raises at its first broadcast,
+    # so the network's totals are the cycle's
+    switches = ingested_switches(4, CFG, stream_seed=6)
+    net = Network(NetworkConfig(n=4, drop_probability=drop, delivery_order=order, seed=5))
+    stats = run_cycle(switches, net)
+    assert (stats.delivered, stats.dropped) == (net.delivered_count, net.dropped_count)
+    assert stats.delivered > 0 and (stats.dropped > 0) == (drop > 0)
+    with pytest.raises(InvariantError, match="duplicate registration"):
+        run_cycle(switches, net)
 
 
 def test_query_serves_previous_result_during_a_cycle():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nettopk import workload
 from nettopk.cli import MMAP_THRESHOLD
-from nettopk.flowtable import FlowEntry
+from nettopk.flowtable import FlowEntry, mix32
 from nettopk.precision import derive_seed
 from nettopk.workload import (
     GUIDE_STEPS,
@@ -199,6 +199,11 @@ def test_split_preserves_relative_order_per_switch():
             pos += 1
 
 
+def home(plan, fid):
+    """A flow's home switch, restated with the scalar hash."""
+    return mix32(fid ^ derive_seed(plan.seed, 1)) % plan.n_switches
+
+
 def test_affinity_one_pins_non_top_flows():
     plan = SplitPlan(k=8, n_switches=4, affinity=1.0, seed=6)
     tr = gen_zipf(1.0, 30_000, 200, seed=6)
@@ -211,7 +216,7 @@ def test_affinity_one_pins_non_top_flows():
             if fid in top:
                 continue
             assert location.setdefault(fid, sid) == sid  # never on two switches
-            assert plan.home(fid) == sid
+            assert home(plan, fid) == sid
 
 
 def test_top_flows_spread_across_switches():
@@ -236,7 +241,7 @@ def test_affinity_fraction_observed():
             if fid in top:
                 continue
             total += 1
-            on_home += plan.home(fid) == sid
+            on_home += home(plan, fid) == sid
     assert abs(on_home / total - 0.8) < 0.02
 
 
@@ -249,7 +254,7 @@ def test_affinity_zero_never_home():
         for fid in np.unique(stream):
             fid = int(fid)
             if fid not in top:
-                assert plan.home(fid) != sid
+                assert home(plan, fid) != sid
 
 
 def _split_reference(trace, plan):
